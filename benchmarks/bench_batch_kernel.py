@@ -9,13 +9,13 @@ forks each stream from a bin-state snapshot of its neighbour's shared
 prefix.  This bench answers two questions:
 
 * is it *correct*: a differential oracle pushes randomized sibling
-  batches on every preset machine through the arena and the legacy
-  ``BinSet.place`` loop and compares cycles, per-op times/completions,
+  batches on every preset machine through the arena and the reference
+  ``BinSet.place`` loop (``place_reference``) and compares cycles, per-op times/completions,
   and block summaries -- under both the numpy prefix lowering and the
   pure-``array`` fallback;
 * is it *fast*: a 64-candidate beam-round batch (~200-instruction
   streams, ~150 shared prefix), timed as arena ``place_batch`` vs one
-  per-stream fused ``_place_uncached`` pass.  Targets: >= 2x with
+  per-stream fused ``place_stream`` pass over fresh bins.  Targets: >= 2x with
   numpy, >= 1.3x on the pure-python fallback.
 
 Compilation and digests are precomputed for both sides and the memo is
@@ -31,14 +31,16 @@ import time
 
 from repro.cost import (
     HAVE_NUMPY,
+    BinSet,
     get_arena,
+    place_reference,
+    place_stream,
     reset_arenas,
     reset_columnar_cache,
     reset_placement_cache,
     set_arena_numpy,
 )
 from repro.cost.columnar import compile_stream
-from repro.cost.placement import _place_uncached
 from repro.machine.alpha import alpha_machine
 from repro.machine.power import power_machine
 from repro.machine.scalar import scalar_machine
@@ -113,8 +115,7 @@ def _differential(trials, seed=20260808):
                     arena = get_arena(machine, focus)
                     results = arena.place_batch(batch, use_memo=False)
                     for instrs, placed in zip(batch, results):
-                        legacy = _place_uncached(
-                            machine, instrs, focus, None, "legacy")
+                        legacy = place_reference(machine, instrs, focus)
                         assert placed.cycles == legacy.cycles, machine.name
                         assert [(o.time, o.completion) for o in placed.ops] \
                             == [(o.time, o.completion) for o in legacy.ops], \
@@ -130,9 +131,9 @@ def _throughput(candidates, size, prefix_len, reps, seed=7, rounds=3):
     """Per-mode ``(baseline s, arena s)`` for ``reps`` passes over a batch.
 
     Streams are compiled (and digested) up front so both sides time
-    pure placement.  The arena runs with ``use_memo=False`` and fresh
-    pools per round start -- its advantage must come from within-batch
-    prefix sharing, not from remembering a previous rep.  Rounds
+    pure placement.  The arena runs with ``use_memo=False`` and keeps
+    no placements between calls -- its advantage must come from
+    within-batch prefix sharing, not from remembering a previous rep.  Rounds
     interleave baseline and arena so scheduler noise hits both; the
     min is the honest figure.
     """
@@ -146,8 +147,7 @@ def _throughput(candidates, size, prefix_len, reps, seed=7, rounds=3):
 
     def run_baseline():
         for stream in compiled:
-            _place_uncached(machine, stream.instrs, FOCUS_SPAN, None,
-                            "fused", stream, stream.digest)
+            place_stream(machine, stream, FOCUS_SPAN, BinSet(machine))
 
     def run_arena():
         get_arena(machine, FOCUS_SPAN).place_batch(compiled, use_memo=False)

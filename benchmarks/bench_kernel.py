@@ -1,4 +1,4 @@
-"""E-KERNEL -- the fused columnar placement kernel vs the legacy drop.
+"""E-KERNEL -- the fused columnar placement kernel vs the reference drop.
 
 Placement is the innermost loop of every prediction (section 2.1); the
 fused kernel (``repro.cost.columnar``) precompiles the machine's op
@@ -6,7 +6,9 @@ costs and the stream's columns, then walks all required pipes in
 lockstep.  This bench answers two questions:
 
 * is it *correct*: a differential oracle places randomized streams on
-  every preset machine through both kernels and compares cycles,
+  every preset machine through ``place_stream`` (the fused kernel) and
+  ``place_reference`` (the per-instruction ``BinSet.place`` loop) and
+  compares cycles,
   per-op times/completions, block summaries, and the full bin grids;
 * is it *fast*: a throughput sweep over stream sizes, asserting the
   target speedup (>= 3x on 200+-instruction streams) in full mode and
@@ -22,8 +24,14 @@ import pathlib
 import random
 import time
 
-from repro.cost import BinSet, reset_columnar_cache, reset_placement_cache
-from repro.cost.placement import _place_uncached
+from repro.cost import (
+    BinSet,
+    compile_stream,
+    place_reference,
+    place_stream,
+    reset_columnar_cache,
+    reset_placement_cache,
+)
 from repro.machine.alpha import alpha_machine
 from repro.machine.power import power_machine
 from repro.machine.scalar import scalar_machine
@@ -67,10 +75,8 @@ def _differential(trials, seed=20240806):
             focus = rng.choice([2, 8, 64])
             legacy_bins = BinSet(machine)
             fused_bins = BinSet(machine)
-            legacy = _place_uncached(
-                machine, instrs, focus, legacy_bins, "legacy")
-            fused = _place_uncached(
-                machine, instrs, focus, fused_bins, "fused")
+            legacy = place_reference(machine, instrs, focus, legacy_bins)
+            fused = place_stream(machine, instrs, focus, fused_bins)
             assert fused.cycles == legacy.cycles, (machine.name, len(instrs))
             assert [(o.time, o.completion) for o in fused.ops] == \
                    [(o.time, o.completion) for o in legacy.ops], machine.name
@@ -86,32 +92,32 @@ def _differential(trials, seed=20240806):
 def _throughput(size, reps, seed=7, rounds=3):
     """(legacy s, fused s) for ``reps`` placements of one ``size`` stream.
 
-    ``place_stream`` hashes the stream once for its memo key before
-    either kernel runs, so the digest is precomputed here too -- the
-    timed region is placement work only, for both kernels.  Each
-    kernel's wall time is the best of ``rounds`` to shed scheduler
-    noise.
+    The fused side gets the stream pre-lowered (its digest cached) and
+    fresh bins, which bypass the placement memo -- the timed region is
+    placement work only, for both kernels.  Each kernel's wall time is
+    the best of ``rounds`` to shed scheduler noise.
     """
-    from repro.translate.stream import placement_digest
-
     machine = power_machine()
     rng = random.Random(seed)
     instrs = _rand_stream(rng, _placeable_ops(machine), size)
-    digest = placement_digest(instrs)
     reset_placement_cache()
     reset_columnar_cache()
-    for kernel in ("legacy", "fused"):  # warm compilation + memos
-        _place_uncached(machine, instrs, FOCUS_SPAN, None, kernel,
-                        None, digest)
+    compiled = compile_stream(machine, instrs)
+    kernels = {
+        "legacy": lambda: place_reference(machine, instrs, FOCUS_SPAN),
+        "fused": lambda: place_stream(machine, compiled, FOCUS_SPAN,
+                                      BinSet(machine)),
+    }
+    for place in kernels.values():  # warm compilation + memos
+        place()
     wall = {"legacy": None, "fused": None}
     # Rounds interleave the kernels so CPU frequency drift and noisy
     # neighbours hit both equally; the min is the honest figure.
     for _ in range(rounds):
-        for kernel in ("legacy", "fused"):
+        for kernel, place in kernels.items():
             t0 = time.perf_counter()
             for _ in range(reps):
-                _place_uncached(machine, instrs, FOCUS_SPAN, None, kernel,
-                                None, digest)
+                place()
             elapsed = time.perf_counter() - t0
             if wall[kernel] is None or elapsed < wall[kernel]:
                 wall[kernel] = elapsed
@@ -150,7 +156,7 @@ def _emit(rows, notes, report, quick):
     report["quick"] = quick
     emit_table(
         "E-KERNEL",
-        "Fused columnar placement kernel vs legacy BinSet.place",
+        "Fused columnar placement kernel vs reference BinSet.place",
         ["stream", "legacy", "fused", "legacy ops/s", "fused ops/s",
          "speedup"],
         rows, notes=notes,

@@ -160,15 +160,6 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     return 0 if summary["models"] else 1
 
 
-def _apply_kernel(args: argparse.Namespace) -> None:
-    """Honor ``--kernel`` by switching this process's placement kernel."""
-    kernel = getattr(args, "kernel", None)
-    if kernel:
-        from .cost import set_placement_kernel
-
-        set_placement_kernel(kernel)
-
-
 def _domain_json(text: str | None) -> dict[str, list[str]] | None:
     domain = _parse_domain(text)
     if not domain:
@@ -177,7 +168,6 @@ def _domain_json(text: str | None) -> dict[str, list[str]] | None:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    _apply_kernel(args)
     fidelity = getattr(args, "fidelity", "exact")
     if args.json or fidelity != "exact":
         bindings = _parse_bindings(args.at)
@@ -212,7 +202,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    _apply_kernel(args)
     if args.json:
         domain = _domain_json(args.domain)
         return _emit_json("compare", {
@@ -498,7 +487,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         cache_path=args.cache_file,
         executor=args.executor,
-        scheduling=args.scheduling,
         surrogate=surrogate,
     )
     if args.job_store:
@@ -643,10 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto tier's relative interval-width ceiling")
     p.add_argument("--surrogate-store", metavar="FILE", default=None,
                    help="surrogate model artifact for --fidelity fast/auto")
-    p.add_argument("--kernel", default=None,
-                   choices=("fused", "legacy", "arena"),
-                   help="placement kernel (default: REPRO_PLACEMENT_KERNEL "
-                        "or fused); all three are bit-identical")
     p.add_argument("--json", action="store_true",
                    help="emit the service wire format")
     p.add_argument("--trace", metavar="FILE",
@@ -658,10 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.add_argument("--machine", default="power", choices=machine_names())
     p.add_argument("--domain", help="bounds, e.g. n=1:1000")
-    p.add_argument("--kernel", default=None,
-                   choices=("fused", "legacy", "arena"),
-                   help="placement kernel (default: REPRO_PLACEMENT_KERNEL "
-                        "or fused); all three are bit-identical")
     p.add_argument("--json", action="store_true",
                    help="emit the service wire format")
     p.add_argument("--trace", metavar="FILE",
@@ -763,11 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON-lines persistence file for warm restarts")
     p.add_argument("--executor", default="auto",
                    choices=("auto", "process", "thread", "sync"))
-    p.add_argument("--scheduling", default="weighted",
-                   choices=("weighted", "naive"),
-                   help="batch scheduling: group light requests and split "
-                        "heavy restructures (weighted) or one task per "
-                        "request (naive)")
     p.add_argument("--slow-request-seconds", type=float, default=1.0,
                    help="log requests slower than this, with their span tree")
     p.add_argument("--no-tracing", action="store_true",

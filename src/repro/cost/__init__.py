@@ -6,7 +6,6 @@ structure, cost-block shapes, and inter-block overlap estimation.
 """
 
 from .arena import (
-    ARENA_POOL_LIMIT,
     HAVE_NUMPY,
     PlacementArena,
     arena_cache_stats,
@@ -34,26 +33,26 @@ from .placement import (
     PLACEMENT_CACHE_LIMIT,
     PlacedBlock,
     PlacedOp,
+    place_reference,
     place_stream,
     placement_cache_stats,
     placement_kernel,
     reset_placement_cache,
-    set_placement_kernel,
     stream_digest,
 )
 from .slots import SlotArray
 
 __all__ = [
-    "ARENA_POOL_LIMIT", "BinSet", "BlockCost", "COLUMNAR_CACHE_LIMIT",
-    "CompiledStream", "CostBlock", "DEFAULT_FOCUS_SPAN", "DEFAULT_SPAN",
-    "EXHAUSTIVE_SPAN", "FAST_SPAN", "HAVE_NUMPY", "PLACEMENT_CACHE_LIMIT",
-    "PlacedBlock", "PlacedOp", "Placement", "PlacementArena", "SlotArray",
+    "BinSet", "BlockCost", "COLUMNAR_CACHE_LIMIT", "CompiledStream",
+    "CostBlock", "DEFAULT_FOCUS_SPAN", "DEFAULT_SPAN", "EXHAUSTIVE_SPAN",
+    "FAST_SPAN", "HAVE_NUMPY", "PLACEMENT_CACHE_LIMIT", "PlacedBlock",
+    "PlacedOp", "Placement", "PlacementArena", "SlotArray",
     "StraightLineEstimator", "StreamSummary",
     "arena_cache_stats", "arena_numpy_enabled",
     "columnar_cache_stats", "combined_cycles", "compile_stream",
-    "get_arena", "max_overlap", "place_batch", "place_stream",
-    "placement_cache_stats", "placement_kernel", "recommended_span",
-    "reset_arenas", "reset_columnar_cache", "reset_placement_cache",
-    "set_arena_numpy", "set_placement_kernel", "steady_state_cycles",
+    "get_arena", "max_overlap", "place_batch", "place_reference",
+    "place_stream", "placement_cache_stats", "placement_kernel",
+    "recommended_span", "reset_arenas", "reset_columnar_cache",
+    "reset_placement_cache", "set_arena_numpy", "steady_state_cycles",
     "stream_digest",
 ]

@@ -3,41 +3,34 @@
 A beam round of 64 sibling candidates, a router sub-batch, or a service
 chunk places many *near-identical* instruction streams back to back:
 siblings differ only where a transformation touched the program, so
-their compiled streams share long common prefixes.  The per-stream
-kernels (:mod:`repro.cost.columnar`) re-drop every shared prefix from
+their compiled streams share long common prefixes.  The single-stream
+kernel (:mod:`repro.cost.columnar`) re-drops every shared prefix from
 scratch; the arena doesn't.
 
 A :class:`PlacementArena` is pinned to one (machine fingerprint, focus
-span) pair and exposes two complementary paths:
+span) pair and is the production path for *batches*
+(:meth:`PlacementArena.place_batch`, or the module-level
+:func:`place_batch`); a single stream goes through
+:func:`repro.cost.placement.place_stream` instead.  All candidate
+streams are lowered into one concatenated structure-of-arrays (op-id /
+dep / one-time ``array('q')`` columns with per-stream offsets, dep
+entries rebased to global positions), identical streams are deduped on
+their ``placement_digest``, and the remainder are sorted by token
+sequence so streams sharing a prefix become neighbours.  Placement then
+walks the sorted order with a stack of bin-state snapshots: each stream
+resumes from the deepest snapshot covered by its common prefix with the
+previous stream (the classic suffix-array LCP argument makes
+consecutive LCPs sufficient), re-dropping only its unshared suffix.
 
-* :meth:`PlacementArena.place_batch` -- the explicit batch API.  All
-  candidate streams are lowered into one concatenated
-  structure-of-arrays (op-id / dep / one-time ``array('q')`` columns
-  with per-stream offsets, dep entries rebased to global positions),
-  identical streams are deduped on their ``placement_digest``, and the
-  remainder are sorted by token sequence so streams sharing a prefix
-  become neighbours.  Placement then walks the sorted order with a
-  stack of bin-state snapshots: each stream resumes from the deepest
-  snapshot covered by its common prefix with the previous stream
-  (the classic suffix-array LCP argument makes consecutive LCPs
-  sufficient), re-dropping only its unshared suffix.
-* :meth:`PlacementArena.drop` -- the sequential path behind
-  ``kernel="arena"`` in :func:`repro.cost.placement.place_stream`.
-  Beam rounds and worker chunks hand streams to the estimator one at a
-  time, so the arena keeps a small pool of recent placement
-  trajectories (token sequence + snapshots at geometric cut points and
-  at the final state); a new stream probes the pool for its longest
-  shared prefix and forks from the matching snapshot instead of
-  starting at slot zero.
-
-Both paths run the *same* fused drop loop as the per-stream kernel
+The arena runs the *same* fused drop loop as the single-stream path
 (:func:`repro.cost.columnar.drop_range`), just over restored bin
 state -- placement from an empty bin set is a pure function of the
 instruction prefix (op ids + dependence structure), so resuming a
 cloned snapshot and replaying the suffix is bit-identical to an
 uninterrupted drop.  ``tests/cost/test_arena_property.py`` enforces
-this element-wise against both the columnar kernel and the legacy
-``BinSet.place`` oracle, including the full bin grids.
+this element-wise against both the fused kernel and the reference
+:func:`~repro.cost.placement.place_reference`, including the full bin
+grids.
 
 Tokens are interned ids of ``(op id, resolved dep positions)`` -- the
 exact pair the drop loop consumes.  ``one_time`` flags and original
@@ -48,8 +41,8 @@ prefix state (their digests differ, their placements don't).
 numpy, when importable (``pip install repro[fast]``), lowers the
 prefix-analysis machinery -- the token mismatch scans behind every LCP
 query run as one vectorized compare instead of a chunked walk.  The
-drop loop itself stays in the shared pure-Python kernel on both paths:
-bit-identity with the legacy oracle is the contract, and at these
+drop loop itself stays in the shared pure-Python kernel:
+bit-identity with the reference placement is the contract, and at these
 stream sizes a dense ndarray lowering of the signed-block walk loses
 to the block-skipping list kernel anyway.  ``REPRO_ARENA_NUMPY=0``
 forces the pure-``array`` fallback for A/B runs and tests.
@@ -81,7 +74,6 @@ from .placement import (
 )
 
 __all__ = [
-    "ARENA_POOL_LIMIT",
     "HAVE_NUMPY",
     "PlacementArena",
     "arena_cache_stats",
@@ -124,7 +116,7 @@ def set_arena_numpy(enabled: bool) -> bool:
 # Prefix tokens
 
 #: Intern-table bound; past it the arena's token world is flushed
-#: wholesale (tokens, pool, intern ids) so ids can never be reused with
+#: wholesale (tokens and intern ids) so ids can never be reused with
 #: a different meaning.
 _INTERN_LIMIT = 65536
 
@@ -161,7 +153,7 @@ def _lcp(a: array, b: array, limit: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Snapshots and trajectories
+# Snapshots
 
 
 class _Snapshot:
@@ -182,29 +174,6 @@ class _Snapshot:
         self.completions = completions
 
 
-class _Trajectory:
-    """One pooled placement: its token sequence plus resume points."""
-
-    __slots__ = ("tokens", "snaps")
-
-    def __init__(self, tokens: array, snaps: list[_Snapshot]):
-        self.tokens = tokens
-        self.snaps = snaps          # ascending pos; last is the final state
-
-
-#: Sequential-path trajectory pool bound (per arena).
-ARENA_POOL_LIMIT = 16
-
-#: Geometric snapshot cut points for pooled trajectories: cheap shallow
-#: resume points plus deeper ones for long streams, without cloning the
-#: bins at every instruction.
-_SNAP_CUTS = (16, 32, 64, 128, 256, 512)
-
-#: Don't bother forking for prefixes shorter than this: the clone costs
-#: more than re-dropping a handful of instructions.
-_MIN_RESUME = 8
-
-
 # ----------------------------------------------------------------------
 # Aggregate counters (exported as repro_arena_* gauges on /metrics)
 
@@ -214,7 +183,7 @@ _stats_lock = threading.Lock()
 def _zero_stats() -> dict[str, int]:
     return {
         "batches": 0,          # place_batch calls
-        "streams": 0,          # streams handed to either path
+        "streams": 0,          # streams handed to place_batch
         "dedup": 0,            # duplicate-digest streams answered by a sibling
         "memo_hits": 0,        # streams answered by the placement memo
         "prefix_reuses": 0,    # streams resumed from a prefix snapshot
@@ -234,13 +203,11 @@ def _bump(**deltas: int) -> None:
 
 
 def arena_cache_stats() -> dict[str, int]:
-    """Snapshot of the arena counters plus registry/pool occupancy."""
+    """Snapshot of the arena counters plus registry occupancy."""
     with _stats_lock:
         out = dict(_stats)
     with _arenas_lock:
         out["arenas"] = len(_arenas)
-        out["pool_entries"] = sum(
-            len(arena._pool) for arena in _arenas.values())
     return out
 
 
@@ -264,14 +231,12 @@ class PlacementArena:
         self._lock = threading.Lock()
         self._intern: dict[tuple, int] = {}
         self._tokens: OrderedDict[str, array] = OrderedDict()
-        self._pool: OrderedDict[str, _Trajectory] = OrderedDict()
 
     # -- tokens ---------------------------------------------------------
     def _flush_locked(self) -> None:
         """Drop every structure that embeds intern ids (see _INTERN_LIMIT)."""
         self._intern.clear()
         self._tokens.clear()
-        self._pool.clear()
 
     def _tokenize_locked(self, stream: CompiledStream) -> array:
         tokens = self._tokens.get(stream.digest)
@@ -311,83 +276,6 @@ class PlacementArena:
                                   fingerprint=self.fingerprint)
         return compile_stream(self.machine, stream,
                               fingerprint=self.fingerprint)
-
-    # -- the sequential path (kernel="arena") ---------------------------
-    def drop(self, stream: CompiledStream
-             ) -> tuple[list[int], list[int], BinSet]:
-        """Place one stream, forking from the pool's best shared prefix.
-
-        Returns ``(times, completions, bins)`` exactly as an
-        uninterrupted :func:`~repro.cost.columnar.drop_columns` over
-        fresh bins would.  The returned bins are shared with the pooled
-        final-state snapshot and must not be mutated by the caller.
-        """
-        n = len(stream)
-        with trace_span("arena.compile") as span:
-            best: _Snapshot | None = None
-            with self._lock:
-                tokens = self._tokenize_locked(stream)
-                for traj in self._pool.values():
-                    limit = min(n, len(traj.tokens))
-                    if limit < _MIN_RESUME:
-                        continue
-                    if best is not None and limit <= best.pos:
-                        continue   # cannot beat the fork we already have
-                    shared = _lcp(tokens, traj.tokens, limit)
-                    if shared < _MIN_RESUME:
-                        continue
-                    for snap in reversed(traj.snaps):
-                        if snap.pos <= shared:
-                            if best is None or snap.pos > best.pos:
-                                best = snap
-                            break
-            if span.recording:
-                span.set(ops=n, resume=0 if best is None else best.pos,
-                         pool=len(self._pool))
-
-        with trace_span("arena.drop") as span:
-            if best is not None and best.pos >= _MIN_RESUME:
-                resume = best.pos
-                bin_set = best.bins.clone()
-                times = list(best.times)
-                completions = list(best.completions)
-                times.extend([0] * (n - resume))
-                completions.extend([0] * (n - resume))
-            else:
-                resume = 0
-                bin_set = BinSet(self.machine)
-                times = [0] * n
-                completions = [0] * n
-            resolved = _resolve(self.ops, bin_set)
-            op_ids, dep_ptr, dep_col = (
-                stream.op_ids, stream.dep_ptr, stream.deps)
-            snaps: list[_Snapshot] = []
-            pos = resume
-            for cut in _SNAP_CUTS:
-                if cut <= pos or cut >= n:
-                    continue
-                drop_range(op_ids, dep_ptr, dep_col, self.ops, resolved,
-                           bin_set, self.focus_span, times, completions,
-                           pos, cut)
-                snaps.append(_Snapshot(cut, bin_set.clone(),
-                                       times[:cut], completions[:cut]))
-                pos = cut
-            drop_range(op_ids, dep_ptr, dep_col, self.ops, resolved,
-                       bin_set, self.focus_span, times, completions, pos, n)
-            # The final state rides along for free: the live bins are
-            # shared (cloned only if someone later forks from them).
-            snaps.append(_Snapshot(n, bin_set, times[:], completions[:]))
-            with self._lock:
-                self._pool[stream.digest] = _Trajectory(tokens, snaps)
-                self._pool.move_to_end(stream.digest)
-                while len(self._pool) > ARENA_POOL_LIMIT:
-                    self._pool.popitem(last=False)
-            if span.recording:
-                span.set(ops=n, dropped=n - resume)
-        _bump(streams=1, placed=1, drops=n - resume,
-              **({"prefix_reuses": 1, "prefix_ops_saved": resume}
-                 if resume else {}))
-        return times, completions, bin_set
 
     # -- the batch path -------------------------------------------------
     def place_batch(self, streams: Sequence, *,
@@ -586,7 +474,7 @@ def get_arena(machine: Machine,
 
 
 def reset_arenas() -> None:
-    """Drop every arena (pools, tokens, intern ids) and zero the counters."""
+    """Drop every arena (tokens, intern ids) and zero the counters."""
     global _stats
     with _arenas_lock:
         _arenas.clear()

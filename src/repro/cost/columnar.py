@@ -2,8 +2,10 @@
 
 Placement (paper section 2.1) is the hottest loop in the repo: every
 predict, every beam-search round, and every service request funnels
-through it.  The legacy path (:meth:`repro.cost.bins.BinSet.place`,
-kept as the differential oracle) pays, per instruction, a
+through it.  The reference path
+(:func:`repro.cost.placement.place_reference`, one
+:meth:`repro.cost.bins.BinSet.place` per instruction, kept as the
+differential oracle) pays, per instruction, a
 ``machine.atomic(name)`` dict lookup, a fresh ``needed = [...]`` list
 allocation, and a chain of method calls (``place`` -> ``_best_pipe`` ->
 ``next_fit`` -> ``_block_containing``) that restarts the whole per-pipe
@@ -23,12 +25,12 @@ This module compiles both invariants out of the inner loop:
   candidate (the binding units), instead of re-running every pipe's
   ``next_fit`` from the new floor.
 
-The kernel is bit-identical to the legacy path -- same landing times,
+The kernel is bit-identical to the reference path -- same landing times,
 same pipe choices, same bin state -- which
 ``tests/cost/test_placement_property.py`` and the E-KERNEL bench
-verify against both the legacy implementation and a brute-force
+verify against both the reference implementation and a brute-force
 dense-grid oracle.  The identity argument, in one paragraph: the
-legacy restart loop converges to the smallest ``t >= earliest`` that
+reference restart loop converges to the smallest ``t >= earliest`` that
 is simultaneously feasible for every component (each restart jumps to
 ``max`` of per-component ``next_fit`` values, which never overshoots
 the answer and never revisits an infeasible slot), and ties between

@@ -11,28 +11,27 @@ focus span is an adjustable parameter, thus allowing more flexible
 allocation of computing resources based on accuracy and efficiency
 considerations."
 
-Three implementations coexist:
+The input's shape picks the production path; there is no switch:
 
-* the **fused columnar kernel** (:mod:`repro.cost.columnar`, default):
-  precompiled per-machine op costs + flat stream columns + a lockstep
-  multi-bin search;
-* the **batch arena** (``kernel="arena"``, :mod:`repro.cost.arena`):
-  the fused kernel fronted by a per-(machine, focus span) arena that
-  dedups identical streams and resumes sibling streams from shared
-  prefix snapshots -- the right default when many near-identical
-  streams arrive together (beam rounds, service batches);
-* the **legacy path** (``kernel="legacy"``): the original
-  per-instruction ``BinSet.place`` loop, kept as the readable reference
-  implementation and differential oracle.
+* one stream goes through :func:`place_stream`, which runs the **fused
+  columnar kernel** (:mod:`repro.cost.columnar`): precompiled
+  per-machine op costs + flat stream columns + a lockstep multi-bin
+  search;
+* many streams at once go through
+  :func:`repro.cost.arena.place_batch`, the **batch arena**: the same
+  fused drop loop fronted by stream dedup and shared-prefix snapshot
+  resumes (beam rounds, sweeps, service batches).
 
-All three produce bit-identical :class:`PlacedBlock` results (cycles,
-op times, pipe choices); ``REPRO_PLACEMENT_KERNEL=legacy|arena`` flips
-the default for A/B runs.
+:func:`place_reference` is the original per-instruction
+``BinSet.place`` loop, kept as the readable reference implementation
+and differential oracle.  No production code calls it; the property
+suites and the kernel benches check both production paths against it
+for bit-identical :class:`PlacedBlock` results (cycles, op times, pipe
+choices, bin grids).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import NamedTuple
@@ -46,10 +45,9 @@ from ..machine.compiled import compile_ops
 from .costblock import CostBlock
 
 __all__ = [
-    "PlacedOp", "PlacedBlock", "place_stream", "DEFAULT_FOCUS_SPAN",
-    "stream_digest", "placement_cache_stats", "reset_placement_cache",
-    "placement_kernel", "set_placement_kernel",
-    "PLACEMENT_CACHE_LIMIT",
+    "PlacedOp", "PlacedBlock", "place_stream", "place_reference",
+    "DEFAULT_FOCUS_SPAN", "stream_digest", "placement_cache_stats",
+    "reset_placement_cache", "placement_kernel", "PLACEMENT_CACHE_LIMIT",
 ]
 
 #: Default focus span; the ablation bench E-FOCUS sweeps this.
@@ -145,30 +143,12 @@ class PlacedBlock:
         return self.ops[index].completion
 
 
-# ----------------------------------------------------------------------
-# Kernel selection
-
-_KERNELS = ("fused", "legacy", "arena")
-_kernel = os.environ.get("REPRO_PLACEMENT_KERNEL", "fused")
-if _kernel not in _KERNELS:
-    _kernel = "fused"
-
-
 def placement_kernel() -> str:
-    """The process-wide default placement kernel."""
-    return _kernel
+    """Name of the single-stream placement kernel (always ``"fused"``).
 
-
-def set_placement_kernel(name: str) -> str:
-    """Set the default kernel ("fused", "legacy", or "arena"); returns
-    the old one."""
-    global _kernel
-    if name not in _KERNELS:
-        raise ValueError(f"unknown placement kernel {name!r}; "
-                         f"choose from {_KERNELS}")
-    previous = _kernel
-    _kernel = name
-    return previous
+    Benchmark environment stamps record it next to the numpy setting.
+    """
+    return "fused"
 
 
 # ----------------------------------------------------------------------
@@ -272,8 +252,6 @@ def place_stream(
     instrs: list[Instr] | InstrStream | CompiledStream,
     focus_span: int = DEFAULT_FOCUS_SPAN,
     bins: BinSet | None = None,
-    *,
-    kernel: str | None = None,
 ) -> PlacedBlock:
     """Drop each instruction into the lowest feasible time slots.
 
@@ -292,17 +270,11 @@ def place_stream(
     from a bounded LRU; passing explicit ``bins`` (shared, possibly
     pre-filled state) bypasses the memo.  ``instrs`` may be a
     pre-lowered :class:`~repro.cost.columnar.CompiledStream`, in which
-    case its cached digest is reused instead of re-hashed.  ``kernel``
-    overrides the process default ("fused" or "legacy"); both kernels
-    return bit-identical results, so they share the memo.
+    case its cached digest is reused instead of re-hashed.
     """
     global _cache_hits, _cache_misses, _cache_evictions
     if focus_span < 1:
         raise ValueError("focus span must be at least 1")
-    if kernel is None:
-        kernel = _kernel
-    elif kernel not in _KERNELS:
-        raise ValueError(f"unknown placement kernel {kernel!r}")
 
     compiled: CompiledStream | None = None
     digest: str | None = None
@@ -339,7 +311,7 @@ def place_stream(
         with _cache_lock:
             _cache_misses += 1
     placed = _place_uncached(machine, instr_list, focus_span, bins,
-                             kernel, compiled, digest)
+                             compiled, digest)
     if key is not None:
         with _cache_lock:
             _cache[key] = _share(placed)
@@ -354,65 +326,49 @@ def _place_uncached(
     instr_list: list[Instr] | tuple[Instr, ...],
     focus_span: int,
     bins: BinSet | None,
-    kernel: str = "fused",
     compiled: CompiledStream | None = None,
     digest: str | None = None,
 ) -> PlacedBlock:
-    if kernel == "arena" and bins is not None:
-        # Explicit bins mean shared, possibly pre-filled state: prefix
-        # snapshots (which assume empty-start bins) don't apply, so the
-        # arena delegates straight to the fused kernel.
-        kernel = "fused"
+    """One fused-kernel placement, bypassing the memo."""
     with trace_span("cost.place") as span:
-        if kernel == "arena":
-            from .arena import get_arena
-
-            fingerprint = _machine_fingerprint(machine)
-            if compiled is None:
-                compiled = compile_stream(machine, instr_list, digest,
-                                          fingerprint=fingerprint)
-            times, completions, bin_set = get_arena(
-                machine, focus_span).drop(compiled)
-            lazy = _LazyOps(compiled.instrs, times, completions)
-        elif kernel == "fused":
-            bin_set = bins if bins is not None else BinSet(machine)
-            fingerprint = _machine_fingerprint(machine)
-            if compiled is None:
-                compiled = compile_stream(machine, instr_list, digest,
-                                          fingerprint=fingerprint)
-            ops = compile_ops(machine, fingerprint)
-            times, completions = drop_columns(
-                compiled, ops, bin_set, focus_span)
-            lazy = _LazyOps(compiled.instrs, times, completions)
-        else:
-            bin_set = bins if bins is not None else BinSet(machine)
-            lazy = None
-            placed_ops = _place_legacy(machine, instr_list, focus_span,
-                                       bin_set)
-        if lazy is not None:
-            placed = PlacedBlock(machine_name=machine.name, lazy=lazy)
-            placed.block = _summarize(bin_set, (), lazy.times,
-                                      lazy.completions)
-        else:
-            placed = PlacedBlock(machine_name=machine.name, ops=placed_ops)
-            placed.block = _summarize(bin_set, placed_ops)
+        bin_set = bins if bins is not None else BinSet(machine)
+        fingerprint = _machine_fingerprint(machine)
+        if compiled is None:
+            compiled = compile_stream(machine, instr_list, digest,
+                                      fingerprint=fingerprint)
+        ops = compile_ops(machine, fingerprint)
+        times, completions = drop_columns(compiled, ops, bin_set, focus_span)
+        placed = PlacedBlock(
+            machine_name=machine.name,
+            lazy=_LazyOps(compiled.instrs, times, completions))
+        placed.block = _summarize(bin_set, (), times, completions)
         if span.recording:
             span.set(machine=machine.name, ops=len(instr_list),
-                     focus_span=focus_span, cycles=placed.cycles,
-                     kernel=kernel)
+                     focus_span=focus_span, cycles=placed.cycles)
     return placed
 
 
-def _place_legacy(
+def place_reference(
     machine: Machine,
-    instr_list: list[Instr] | tuple[Instr, ...],
-    focus_span: int,
-    bin_set: BinSet,
-) -> tuple[PlacedOp, ...]:
-    """The reference implementation: one ``BinSet.place`` per instruction."""
+    instrs: list[Instr] | InstrStream,
+    focus_span: int = DEFAULT_FOCUS_SPAN,
+    bins: BinSet | None = None,
+) -> PlacedBlock:
+    """The reference placement: one ``BinSet.place`` per instruction.
+
+    The differential oracle for :func:`place_stream` and
+    :func:`~repro.cost.arena.place_batch`: never memoized, never
+    traced, and bit-identical to both.  Passing ``bins`` places onto
+    that (possibly pre-filled) state.
+    """
+    if focus_span < 1:
+        raise ValueError("focus span must be at least 1")
+    if isinstance(instrs, InstrStream):
+        instrs = instrs.instrs
+    bin_set = bins if bins is not None else BinSet(machine)
     completions: dict[int, int] = {}
     placed_ops: list[PlacedOp] = []
-    for instr in instr_list:
+    for instr in instrs:
         op = machine.atomic(instr.atomic)
         ready = 0
         for dep in instr.deps:
@@ -425,7 +381,9 @@ def _place_legacy(
         completion = placement.time + op.result_latency
         completions[instr.index] = completion
         placed_ops.append(PlacedOp(instr, placement.time, completion))
-    return tuple(placed_ops)
+    placed = PlacedBlock(machine_name=machine.name, ops=tuple(placed_ops))
+    placed.block = _summarize(bin_set, placed.ops)
+    return placed
 
 
 def _summarize(
@@ -438,8 +396,8 @@ def _summarize(
 
     The columnar kernels already hold the start/completion columns as
     plain int lists; they pass those (with ``ops=()``) so the summary
-    never touches -- or forces -- the per-op tuple.  The legacy path,
-    which has only ``ops``, omits the columns.
+    never touches -- or forces -- the per-op tuple.  The reference
+    path, which has only ``ops``, omits the columns.
     """
     if completions is None:
         if not ops:

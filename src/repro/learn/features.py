@@ -18,9 +18,9 @@ into one fixed-width vector per (program, machine) request:
   -- which is what lets a ridge model fit it tightly;
 * block summaries come from the compiled-stream memo, which is keyed
   by (machine fingerprint, placement digest) -- the same columns every
-  placement kernel consumes -- so feature vectors are identical under
-  ``legacy``/``fused``/``arena`` kernels and either arena lowering *by
-  construction*;
+  placement path consumes -- so feature vectors are identical whichever
+  path (single stream, batch arena, reference) has placed the blocks,
+  and under either arena lowering, *by construction*;
 * op names hash into a fixed number of buckets
   (:data:`OP_BUCKETS`, stable blake2b hash, never the salted builtin
   ``hash``), so the width is machine-independent.

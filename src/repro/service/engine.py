@@ -16,10 +16,10 @@ engine:
 4. stores fresh results back in the cache and reports counters and
    latencies to a :class:`~repro.service.metrics.MetricsRegistry`.
 
-Scheduling is *weight-classed* by default: a tiny predict and a
-depth-3 restructure differ by three orders of magnitude, so giving
-each its own pool task lets one heavy request occupy a worker for
-seconds while light requests queue behind it.  Instead the engine
+Scheduling is *weight-classed*: a tiny predict and a depth-3
+restructure differ by three orders of magnitude, so giving each its
+own pool task lets one heavy request occupy a worker for seconds
+while light requests queue behind it.  Instead the engine
 
 * groups light requests (predict / compare / small restructures) into
   shared chunk tasks, amortizing pool overhead and keeping their
@@ -31,8 +31,8 @@ seconds while light requests queue behind it.  Instead the engine
 * submits light chunks *before* heavy subtasks, so FIFO pools serve
   them first.
 
-``scheduling="naive"`` restores one-task-per-request (the E-SERVICE
-bench compares the two).
+The E-SERVICE-MIX bench measures this against a one-task-per-request
+baseline it builds itself.
 
 Workers keep a bounded pool of :class:`IncrementalPredictor` instances
 (:func:`~repro.transform.parallel.shared_predictor` -- the same LRU the
@@ -61,7 +61,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..cost.arena import arena_cache_stats
 from ..cost.columnar import columnar_cache_stats
-from ..cost.placement import placement_cache_stats, placement_kernel
+from ..cost.placement import placement_cache_stats
 from ..ir.digest import program_digest, stmts_digest
 from ..ir.parser import ParseError, parse_program
 from ..ir.lexer import LexError
@@ -75,7 +75,6 @@ from ..obs import (
 )
 from ..symbolic.poly import PolyError
 from ..transform.parallel import (
-    _adopt_kernel,
     _chunked,
     _predictors,
     evaluate_chunk,
@@ -112,7 +111,11 @@ __all__ = [
 
 #: Exceptions that mean "the client sent something invalid" (HTTP 400),
 #: as opposed to an internal fault (HTTP 500).
-_CLIENT_ERRORS = (ProtocolError, ParseError, LexError, PolyError, KeyError, ValueError)
+#: ``RecursionError`` is the pathologically deep program (thousands of
+#: nested parentheses): the recursive front end cannot represent it,
+#: so it is rejected like any other unparseable input.
+_CLIENT_ERRORS = (ProtocolError, ParseError, LexError, PolyError, KeyError,
+                  ValueError, RecursionError)
 
 log = logging.getLogger("repro.service.engine")
 
@@ -370,19 +373,14 @@ def _placement_delta(before: Mapping[str, int],
 def execute_request_chunk(jobs: Sequence[tuple[str, Mapping[str, Any]]],
                           collect_trace: bool = False,
                           trace_context: tuple[str, str | None] | None = None,
-                          kernel: str | None = None,
                           ) -> dict[str, Any]:
     """Run several light requests as one pool task.
 
     A task per tiny predict pays pool round-trip overhead comparable to
     the work itself; grouping amortizes it.  The worker also reports
     its placement-memo hit/miss delta, which the engine cannot observe
-    across a process boundary.  ``kernel`` is the engine process's
-    placement kernel, adopted on arrival so forked workers track a
-    runtime kernel switch (all kernels are bit-identical; this only
-    moves where the time goes).
+    across a process boundary.
     """
-    _adopt_kernel(kernel)
     before = placement_cache_stats()
     results = [execute_request(kind, payload, collect_trace, trace_context)
                for kind, payload in jobs]
@@ -390,11 +388,10 @@ def execute_request_chunk(jobs: Sequence[tuple[str, Mapping[str, Any]]],
             "placement": _placement_delta(before, placement_cache_stats())}
 
 
-def _search_round_chunk(root, root_key, machine, programs,
-                        kernel: str | None = None) -> dict[str, Any]:
+def _search_round_chunk(root, root_key, machine, programs) -> dict[str, Any]:
     """Evaluate one slice of a split restructure's round batch."""
     before = placement_cache_stats()
-    costs = evaluate_chunk(root, root_key, machine, programs, kernel)
+    costs = evaluate_chunk(root, root_key, machine, programs)
     return {"costs": costs,
             "placement": _placement_delta(before, placement_cache_stats())}
 
@@ -578,10 +575,9 @@ class PredictionEngine:
     ``"thread"``, or ``"sync"``; the default ``"auto"`` picks processes
     and falls back to threads if the pool cannot be used.
 
-    ``scheduling`` picks how a batch maps onto pool tasks:
-    ``"weighted"`` (default) groups light requests into shared chunks
-    and splits heavy restructures into per-round subtasks capped at
-    ``workers - 1`` slots; ``"naive"`` submits one task per request.
+    A batch maps onto pool tasks by weight: light requests share chunk
+    tasks, and heavy restructures split into per-round subtasks capped
+    at ``workers - 1`` slots.
     """
 
     def __init__(
@@ -591,15 +587,11 @@ class PredictionEngine:
         cache_path: str | None = None,
         executor: str = "auto",
         metrics: MetricsRegistry | None = None,
-        scheduling: str = "weighted",
         surrogate: Any = None,
     ):
         if executor not in ("auto", "process", "thread", "sync"):
             raise ValueError(f"unknown executor policy {executor!r}")
-        if scheduling not in ("weighted", "naive"):
-            raise ValueError(f"unknown scheduling policy {scheduling!r}")
         self.workers = max(0, workers)
-        self.scheduling = scheduling
         self.cache = ResultCache(maxsize=cache_size, path=cache_path)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Learned fast tier (repro.learn.Surrogate) or None.  Serves
@@ -712,8 +704,8 @@ class PredictionEngine:
         once: the first becomes the representative, the rest are
         answered with copies when it finishes.  ``on_result`` fires
         once per item, as its response becomes final -- in completion
-        order under weighted scheduling, so a caller can stream answers
-        out while heavy work is still running.
+        order, so a caller can stream answers out while heavy work is
+        still running.
         """
         started = time.perf_counter()
         results: list[dict[str, Any] | None] = [None] * len(items)
@@ -856,10 +848,7 @@ class PredictionEngine:
         collect = (current_tracer() is not None
                    or any(entry.want_trace for entry in pending))
         ctx = _trace_ctx() if collect else None
-        if self.scheduling == "naive":
-            self._run_naive(pending, finish, collect, ctx)
-        else:
-            self._run_weighted(pending, finish, collect, ctx)
+        self._run_weighted(pending, finish, collect, ctx)
 
     def _run_inline(
         self,
@@ -869,23 +858,6 @@ class PredictionEngine:
         for entry in pending:
             finish(entry, self._execute_inline(
                 entry.kind, entry.payload, entry.want_trace))
-
-    def _run_naive(
-        self,
-        pending: Sequence[_Pending],
-        finish: Callable[[_Pending, dict[str, Any]], None],
-        collect: bool,
-        ctx: tuple[str, str | None] | None = None,
-    ) -> None:
-        """One pool task per request, awaited in submission order."""
-        jobs = [(execute_request, (entry.kind, entry.payload, collect, ctx))
-                for entry in pending]
-        futures = [self._submit(fn, *args) for fn, args in jobs]
-        for entry, future, job in zip(pending, futures, jobs):
-            self._tasks.inc(shape="single")
-            with trace_span("engine.execute", kind=entry.kind, cached=False):
-                result = self._result_or_retry(future, job)
-            finish(entry, result)
 
     def _run_weighted(
         self,
@@ -911,8 +883,7 @@ class PredictionEngine:
             chunk_count = min(self.workers, max(1, len(light) // _GROUP_MIN))
             for group in _chunked(light, chunk_count):
                 jobs = [(entry.kind, entry.payload) for entry in group]
-                job = (execute_request_chunk,
-                       (jobs, collect, ctx, placement_kernel()))
+                job = (execute_request_chunk, (jobs, collect, ctx))
                 waiters[self._submit(*_flatten(job))] = ("chunk", group, job)
                 self._tasks.inc(shape="chunk")
         singles = [entry for entry in heavy if entry.kind != "restructure"]
@@ -1014,7 +985,7 @@ class PredictionEngine:
             try:
                 futures = [
                     self._submit(_search_round_chunk, program, root_key,
-                                 machine, chunk, placement_kernel())
+                                 machine, chunk)
                     for chunk in chunks
                 ]
                 costs: list = []
@@ -1255,10 +1226,6 @@ class PredictionEngine:
             "repro_arena_drops_total",
             "Instructions actually dropped by the arena "
             "(engine process).").set(arena["drops"])
-        self.metrics.gauge(
-            "repro_arena_pool_entries",
-            "Resident prefix-pool trajectories across arenas "
-            "(engine process).").set(arena["pool_entries"])
         from ..calib import calibration_stats
         from ..sweep import sweep_stats
 

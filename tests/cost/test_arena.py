@@ -2,8 +2,8 @@
 
 Every assertion here is differential: whatever path a stream takes
 through the arena (batch SoA drop, memo hit, digest dedup, prefix-
-snapshot resume, sequential pool fork), the result must be the one the
-legacy ``BinSet.place`` loop produces over fresh bins.  Both the numpy
+snapshot resume), the result must be the one the reference
+``BinSet.place`` loop (``place_reference``) produces over fresh bins.  Both the numpy
 lowering and the pure-``array`` fallback are exercised for each case.
 """
 
@@ -18,16 +18,15 @@ from repro.cost import (
     arena_numpy_enabled,
     get_arena,
     place_batch,
+    place_reference,
     place_stream,
     reset_arenas,
     reset_columnar_cache,
     reset_placement_cache,
     set_arena_numpy,
-    set_placement_kernel,
 )
 from repro.cost import arena as arena_mod
 from repro.cost.columnar import compile_stream
-from repro.cost.placement import _place_uncached
 from repro.machine import power_machine
 from repro.machine.wide import wide_machine
 from repro.translate.stream import Instr, InstrStream
@@ -70,8 +69,8 @@ def _stream(machine, n, seed, prefix=None):
     return instrs
 
 
-def _legacy(machine, instrs):
-    return _place_uncached(machine, instrs, FOCUS, None, "legacy")
+def _reference(machine, instrs):
+    return place_reference(machine, instrs, FOCUS)
 
 
 def _same_placement(got, want):
@@ -92,7 +91,7 @@ def test_batch_matches_legacy_per_stream(numpy_mode):
                for k in range(8)]
     results = place_batch(machine, streams, FOCUS, use_memo=False)
     for instrs, placed in zip(streams, results):
-        _same_placement(placed, _legacy(machine, instrs))
+        _same_placement(placed, _reference(machine, instrs))
     stats = arena_cache_stats()
     assert stats["batches"] == 1 and stats["streams"] == 8
     assert stats["prefix_reuses"] >= 6          # siblings fork, not replay
@@ -105,8 +104,8 @@ def test_batch_dedups_identical_streams(numpy_mode):
     other = _stream(machine, 30, seed=4)
     results = place_batch(machine, [base, other, base, base], FOCUS,
                           use_memo=False)
-    _same_placement(results[0], _legacy(machine, base))
-    _same_placement(results[1], _legacy(machine, other))
+    _same_placement(results[0], _reference(machine, base))
+    _same_placement(results[1], _reference(machine, other))
     assert [(o.time, o.completion) for o in results[2].ops] == \
            [(o.time, o.completion) for o in results[0].ops]
     stats = arena_cache_stats()
@@ -127,7 +126,7 @@ def test_batch_probes_and_feeds_the_placement_memo(numpy_mode):
     place_batch(machine, [fresh], FOCUS)
     before = arena_cache_stats()["placed"]
     _same_placement(place_stream(machine, fresh, FOCUS),
-                    _legacy(machine, fresh))
+                    _reference(machine, fresh))
     assert arena_cache_stats()["placed"] == before   # served by the memo
 
 
@@ -140,7 +139,7 @@ def test_batch_accepts_mixed_stream_types(numpy_mode):
     compiled = compile_stream(machine, instrs)
     results = place_batch(machine, [instrs, stream, compiled], FOCUS,
                           use_memo=False)
-    want = _legacy(machine, instrs)
+    want = _reference(machine, instrs)
     _same_placement(results[0], want)
     _same_placement(results[2], want)
     assert results[1].cycles == want.cycles
@@ -157,50 +156,6 @@ def test_foreign_compiled_stream_rejected():
     compiled = compile_stream(power_machine(), [Instr(0, "fpu_arith")])
     with pytest.raises(ValueError):
         get_arena(wide_machine()).place_batch([compiled])
-
-
-# ---------------------------------------------------------------------------
-# Sequential path (kernel="arena")
-
-
-def test_arena_kernel_matches_legacy_and_pools_prefixes(numpy_mode):
-    machine = power_machine()
-    shared = _stream(machine, 80, seed=21)
-    previous = set_placement_kernel("arena")
-    try:
-        for k in range(6):
-            instrs = _stream(machine, 120, seed=300 + k, prefix=shared)
-            placed = place_stream(machine, instrs, FOCUS)
-            _same_placement(placed, _legacy(machine, instrs))
-    finally:
-        set_placement_kernel(previous)
-    stats = arena_cache_stats()
-    assert stats["prefix_reuses"] >= 5
-    # Resumes happen at snapshot cuts <= the 80-instr shared prefix.
-    assert stats["prefix_ops_saved"] >= 5 * 64
-
-
-def test_arena_kernel_with_explicit_bins_downgrades_to_fused():
-    """Pre-filled shared bins break the empty-start snapshot premise."""
-    from repro.cost import BinSet
-
-    machine = power_machine()
-    instrs = _stream(machine, 16, seed=9)
-    arena_bins = BinSet(machine)
-    fused_bins = BinSet(machine)
-    via_arena = _place_uncached(machine, instrs, FOCUS, arena_bins, "arena")
-    via_fused = _place_uncached(machine, instrs, FOCUS, fused_bins, "fused")
-    _same_placement(via_arena, via_fused)
-    assert arena_cache_stats()["streams"] == 0   # the arena never saw it
-
-
-def test_drop_pool_is_bounded():
-    machine = power_machine()
-    arena = get_arena(machine, FOCUS)
-    for k in range(arena_mod.ARENA_POOL_LIMIT + 5):
-        arena.drop(compile_stream(machine, _stream(machine, 20, seed=k)))
-    assert len(arena._pool) == arena_mod.ARENA_POOL_LIMIT
-    assert arena_cache_stats()["pool_entries"] == arena_mod.ARENA_POOL_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +214,3 @@ def test_get_arena_is_shared_and_keyed():
     with pytest.raises(ValueError):
         PlacementArena(machine, focus_span=0)
 
-
-def test_unknown_kernel_still_rejected():
-    with pytest.raises(ValueError):
-        set_placement_kernel("vectorized")

@@ -1,8 +1,9 @@
-"""Differential tests: calibrated machines across placement kernels.
+"""Differential tests: calibrated machines across placement paths.
 
-A calibrated cost table must be a drop-in machine: every placement
-kernel (legacy, fused, arena batch path) must produce *bit-identical*
-placements for it, and swapping a recalibrated table under the same
+A calibrated cost table must be a drop-in machine: both production
+paths (``place_stream`` and the arena's ``place_batch``) and the
+reference ``place_reference`` must produce *bit-identical* placements
+for it, and swapping a recalibrated table under the same
 machine name must invalidate -- not corrupt -- the placement memo and
 the service result cache.
 """
@@ -17,11 +18,11 @@ from repro.calib import (
 )
 from repro.cost import (
     place_batch,
+    place_reference,
     place_stream,
     reset_arenas,
     reset_columnar_cache,
     reset_placement_cache,
-    set_placement_kernel,
 )
 from repro.machine import power_machine
 from repro.machine.registry import _FACTORIES
@@ -74,19 +75,13 @@ def _snapshot(placed):
 
 def test_kernels_bit_identical_on_calibrated_machine(calibrated):
     streams = _streams(calibrated)
-    results = {}
-    for kernel in ("legacy", "fused", "arena"):
-        previous = set_placement_kernel(kernel)
-        try:
-            reset_placement_cache()
-            reset_arenas()
-            results[kernel] = [
-                _snapshot(place_stream(calibrated, stream, FOCUS))
-                for stream in streams
-            ]
-        finally:
-            set_placement_kernel(previous)
-    assert results["legacy"] == results["fused"] == results["arena"]
+    reference = [_snapshot(place_reference(calibrated, stream, FOCUS))
+                 for stream in streams]
+    single = [_snapshot(place_stream(calibrated, stream, FOCUS))
+              for stream in streams]
+    batched = [_snapshot(placed) for placed in
+               place_batch(calibrated, streams, FOCUS, use_memo=False)]
+    assert reference == single == batched
 
 
 def test_arena_batch_matches_single_placements(calibrated):

@@ -9,14 +9,15 @@ from repro.cost import (
     COLUMNAR_CACHE_LIMIT,
     columnar_cache_stats,
     compile_stream,
+    place_batch,
+    place_reference,
     place_stream,
     placement_kernel,
+    reset_arenas,
     reset_columnar_cache,
     reset_placement_cache,
-    set_placement_kernel,
 )
 from repro.cost.columnar import CompiledStream, drop_columns
-from repro.cost.placement import _place_uncached
 from repro.machine import compile_ops, power_machine, reset_compiled_ops
 from repro.machine.alpha import alpha_machine
 from repro.machine.scalar import scalar_machine
@@ -27,6 +28,7 @@ from repro.translate.stream import Instr, InstrStream
 def setup_function(_):
     reset_placement_cache()
     reset_columnar_cache()
+    reset_arenas()
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def test_deps_resolve_to_latest_earlier_position():
 
 
 def test_unresolvable_deps_are_dropped():
-    """Legacy reads completions.get(dep, 0): unknown deps contribute 0."""
+    """The reference reads completions.get(dep, 0): unknown deps add 0."""
     machine = power_machine()
     instrs = [
         Instr(5, "fpu_arith"),
@@ -111,9 +113,9 @@ def test_unresolvable_deps_are_dropped():
     ]
     stream = compile_stream(machine, instrs)
     assert list(stream.deps) == []
-    legacy = _place_uncached(machine, instrs, 64, None, "legacy")
-    fused = _place_uncached(machine, instrs, 64, None, "fused")
-    assert [op.time for op in fused.ops] == [op.time for op in legacy.ops]
+    reference = place_reference(machine, instrs, 64)
+    fused = place_stream(machine, instrs, 64)
+    assert [op.time for op in fused.ops] == [op.time for op in reference.ops]
 
 
 def test_compiled_stream_memo_hits_and_evicts():
@@ -148,7 +150,7 @@ def test_place_stream_accepts_compiled_and_instr_streams():
 
 
 # ---------------------------------------------------------------------------
-# Kernel equivalence and selection
+# Production paths vs the reference
 
 
 def _bin_grids(bins):
@@ -174,21 +176,22 @@ def test_fused_matches_legacy_bit_for_bit(factory):
             for i in range(n)
         ]
         focus = rng.choice([2, 8, 64])
-        legacy_bins = BinSet(machine)
+        reference_bins = BinSet(machine)
         fused_bins = BinSet(machine)
-        legacy = _place_uncached(machine, instrs, focus, legacy_bins, "legacy")
-        fused = _place_uncached(machine, instrs, focus, fused_bins, "fused")
-        assert fused.cycles == legacy.cycles
+        reference = place_reference(machine, instrs, focus, reference_bins)
+        fused = place_stream(machine, instrs, focus, fused_bins)
+        assert fused.cycles == reference.cycles
         assert [(o.time, o.completion) for o in fused.ops] == \
-               [(o.time, o.completion) for o in legacy.ops]
-        assert fused.block == legacy.block
-        assert _bin_grids(fused_bins) == _bin_grids(legacy_bins)
-        assert fused_bins._top == legacy_bins._top
+               [(o.time, o.completion) for o in reference.ops]
+        assert fused.block == reference.block
+        assert _bin_grids(fused_bins) == _bin_grids(reference_bins)
+        assert fused_bins._top == reference_bins._top
 
 
 def test_missing_unit_raises_on_both_kernels():
     """An op whose noncoverable cost names an absent unit fails at
-    placement time (not at compile time), matching the legacy path."""
+    placement time (not at compile time) on every path, matching the
+    reference."""
     from repro.machine.atomic import AtomicCostTable, AtomicOp
     from repro.machine.machine import Machine
     from repro.machine.units import FunctionalUnit, UnitCost, UnitKind
@@ -200,30 +203,44 @@ def test_missing_unit_raises_on_both_kernels():
     ops = compile_ops(machine)
     assert ops.components[ops.index_of["fp_op"]] is None
     # The supported op still places fine...
-    placed = _place_uncached(machine, [Instr(0, "alu_op")], 64, None, "fused")
+    placed = place_stream(machine, [Instr(0, "alu_op")], 64)
     assert placed.ops[0].time == 0
-    # ... and the unsupported one raises on both kernels.
+    # ... and the unsupported one raises on every path.
     instrs = [Instr(0, "fp_op")]
     with pytest.raises(KeyError):
-        _place_uncached(machine, instrs, 64, None, "legacy")
+        place_reference(machine, instrs, 64)
     with pytest.raises(KeyError):
-        _place_uncached(machine, instrs, 64, None, "fused")
+        place_stream(machine, instrs, 64)
+    with pytest.raises(KeyError):
+        place_batch(machine, [instrs], 64)
 
 
 def test_kernel_selection_round_trip():
-    previous = set_placement_kernel("legacy")
-    try:
-        assert placement_kernel() == "legacy"
-        machine = power_machine()
-        placed = place_stream(machine, [Instr(0, "fpu_arith")])
-        assert placed.cycles == 2
-    finally:
-        set_placement_kernel(previous)
-    with pytest.raises(ValueError):
-        set_placement_kernel("vectorized")
-    with pytest.raises(ValueError):
-        place_stream(power_machine(), [Instr(0, "fpu_arith")],
-                     kernel="vectorized")
+    """The input's shape selects the path -- one stream runs the fused
+    kernel, a batch runs the arena -- and both agree with the reference."""
+    assert placement_kernel() == "fused"
+    machine = power_machine()
+    rng = random.Random(7)
+    names = ["fpu_arith", "fxu_add", "fpu_div"]
+    streams = [
+        [Instr(i, rng.choice(names),
+               deps=tuple(rng.sample(range(i), k=min(i, 2))))
+         for i in range(n)]
+        for n in (1, 9, 9, 30)
+    ]
+    batch = place_batch(machine, streams, 64, use_memo=False)
+    for instrs, batched in zip(streams, batch):
+        reference = place_reference(machine, instrs, 64)
+        single = place_stream(machine, instrs, 64)
+        for placed in (single, batched):
+            assert placed.cycles == reference.cycles
+            assert [(o.time, o.completion) for o in placed.ops] == \
+                   [(o.time, o.completion) for o in reference.ops]
+            assert placed.block == reference.block
+    assert place_stream(machine, [Instr(0, "fpu_arith")]).cycles == 2
+    for place in (place_stream, place_reference):
+        with pytest.raises(ValueError):
+            place(machine, [Instr(0, "fpu_arith")], 0)
 
 
 def test_drop_columns_advances_the_running_top():

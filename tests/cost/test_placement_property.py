@@ -2,8 +2,10 @@
 
 Three implementations must agree on every random machine and stream:
 
-* the legacy reference (``BinSet.place``, one call per instruction),
-* the fused columnar kernel (:func:`repro.cost.columnar.drop_columns`),
+* the reference loop (``place_reference``: ``BinSet.place``, one call
+  per instruction),
+* the fused columnar kernel behind ``place_stream``
+  (:func:`repro.cost.columnar.drop_columns`),
 * a brute-force oracle that scans a dense boolean grid one time slot
   at a time -- no signed blocks, no hints, no restart loop.
 
@@ -17,8 +19,7 @@ growth boundaries, multi-component restarts, and pipe tie-breaks.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cost import BinSet
-from repro.cost.placement import _place_uncached
+from repro.cost import BinSet, place_reference, place_stream
 from repro.machine.atomic import AtomicCostTable, AtomicOp
 from repro.machine.machine import Machine
 from repro.machine.units import FunctionalUnit, UnitCost, UnitKind
@@ -150,18 +151,18 @@ def test_bin_set_place_matches_dense_oracle(machine, calls):
 @settings(max_examples=120, deadline=None)
 @given(_machine_and_stream())
 def test_kernels_and_oracle_agree_on_streams(case):
-    """Fused kernel == legacy loop == dense oracle, bin state included."""
+    """Fused kernel == reference loop == dense oracle, bin state included."""
     machine, instrs, focus_span = case
-    legacy_bins = BinSet(machine)
+    reference_bins = BinSet(machine)
     fused_bins = BinSet(machine)
-    legacy = _place_uncached(machine, instrs, focus_span, legacy_bins, "legacy")
-    fused = _place_uncached(machine, instrs, focus_span, fused_bins, "fused")
+    reference = place_reference(machine, instrs, focus_span, reference_bins)
+    fused = place_stream(machine, instrs, focus_span, fused_bins)
     want = _DenseOracle(machine).drop_stream(instrs, focus_span)
-    got_legacy = [(op.time, op.completion) for op in legacy.ops]
+    got_reference = [(op.time, op.completion) for op in reference.ops]
     got_fused = [(op.time, op.completion) for op in fused.ops]
-    assert got_legacy == want
+    assert got_reference == want
     assert got_fused == want
-    assert fused.cycles == legacy.cycles
-    assert fused.block == legacy.block
-    assert _grids_of(fused_bins) == _grids_of(legacy_bins)
-    assert fused_bins._top == legacy_bins._top == fused_bins._scan_top()
+    assert fused.cycles == reference.cycles
+    assert fused.block == reference.block
+    assert _grids_of(fused_bins) == _grids_of(reference_bins)
+    assert fused_bins._top == reference_bins._top == fused_bins._scan_top()

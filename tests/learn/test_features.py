@@ -1,4 +1,4 @@
-"""Feature extraction: determinism, kernel invariance, memo behavior."""
+"""Feature extraction: determinism, placement-path invariance, memo."""
 
 from fractions import Fraction
 
@@ -8,9 +8,19 @@ from hypothesis import strategies as st
 
 from repro.cost import (
     HAVE_NUMPY,
+    place_batch,
+    place_reference,
+    place_stream,
+    reset_arenas,
+    reset_placement_cache,
     set_arena_numpy,
-    set_placement_kernel,
 )
+from repro.ir.nodes import Assign, CallStmt, Do, If
+from repro.ir.parser import parse_program
+from repro.ir.symtab import SymbolTable
+from repro.machine.registry import cached_machine
+from repro.translate.backend_opts import AGGRESSIVE_BACKEND
+from repro.translate.translator import Translator
 from repro.learn import (
     FEATURE_DIM,
     StaticFeatures,
@@ -125,26 +135,80 @@ def test_machine_changes_features():
 
 
 # ----------------------------------------------------------------------
-# kernel / lowering invariance (the fast tier must answer identically
-# regardless of which exact-path kernel the process is configured with)
+# placement-path / lowering invariance (the fast tier must answer
+# identically whichever placement path -- single stream, batch arena, or
+# the reference loop -- has already seen the program's blocks)
+
+
+def _block_streams(source):
+    """The program's straight-line block streams, walked as extraction does."""
+    program = parse_program(source)
+    machine = cached_machine("power")
+    translator = Translator(machine, SymbolTable.from_program(program),
+                            AGGRESSIVE_BACKEND)
+    streams = []
+
+    def flush(stmts, enclosing):
+        if stmts:
+            instrs = list(translator.translate_block(
+                tuple(stmts), enclosing).stream)
+            if instrs:
+                streams.append(instrs)
+
+    def walk(stmts, enclosing):
+        buffer = []
+        for stmt in stmts:
+            if isinstance(stmt, Assign):
+                buffer.append(stmt)
+                continue
+            flush(buffer, enclosing)
+            buffer = []
+            if isinstance(stmt, CallStmt):
+                flush([stmt], enclosing)
+            elif isinstance(stmt, Do):
+                walk(stmt.body, enclosing + (stmt.var,))
+            elif isinstance(stmt, If):
+                walk(stmt.then_body, enclosing)
+                walk(stmt.else_body, enclosing)
+        flush(buffer, enclosing)
+
+    walk(program.body, ())
+    return machine, streams
+
+
+def _place_all(path, machine, streams):
+    if path == "batch":
+        return place_batch(machine, streams, use_memo=False)
+    place = place_reference if path == "reference" else place_stream
+    return [place(machine, instrs) for instrs in streams]
+
+
+def _timeline(placed):
+    return ([(o.time, o.completion) for o in placed.ops], placed.cycles,
+            placed.block)
 
 
 @pytest.mark.parametrize("name,source", sorted(PROGRAMS.items()))
 def test_features_identical_across_placement_kernels(name, source):
+    machine, streams = _block_streams(source)
+    assert streams
+    placements = {}
     vectors = {}
-    for kernel in ("legacy", "fused", "arena"):
-        previous = set_placement_kernel(kernel)
-        try:
-            reset_feature_cache()
-            static = extract_static(source, "power")
-            vectors[kernel] = (
-                static.digest,
-                static.base,
-                tuple((str(w), vec) for w, vec in static.blocks),
-            )
-        finally:
-            set_placement_kernel(previous)
-    assert vectors["legacy"] == vectors["fused"] == vectors["arena"]
+    for path in ("reference", "stream", "batch"):
+        reset_placement_cache()
+        reset_arenas()
+        reset_feature_cache()
+        placements[path] = [_timeline(p)
+                            for p in _place_all(path, machine, streams)]
+        static = extract_static(source, "power")
+        vectors[path] = (
+            static.digest,
+            static.base,
+            tuple((str(w), vec) for w, vec in static.blocks),
+        )
+    assert placements["reference"] == placements["stream"] \
+        == placements["batch"]
+    assert vectors["reference"] == vectors["stream"] == vectors["batch"]
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy for both lowerings")
@@ -165,23 +229,25 @@ def test_features_identical_across_arena_lowerings():
     st.sampled_from(sorted(PROGRAMS)),
     st.integers(0, 200),
     st.integers(0, 200),
-    st.sampled_from(["legacy", "fused", "arena"]),
+    st.sampled_from(["stream", "batch"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_vector_bit_identical_under_kernel_property(name, n, m, kernel):
-    """Property: the full vector at any point is bit-identical whatever
-    placement kernel is active -- features never run placement."""
+def test_vector_bit_identical_under_kernel_property(name, n, m, path):
+    """Property: the full vector at any point is bit-identical whichever
+    placement path has run over the program's blocks -- features never
+    run placement -- and that path agrees with the reference."""
     source = PROGRAMS[name]
     bindings = {"n": n, "m": m, "t": 1}
     reset_feature_cache()
     baseline = feature_vector(extract_static(source, "power"), bindings)
-    previous = set_placement_kernel(kernel)
-    try:
-        reset_feature_cache()
-        static = extract_static(source, "power")
-        assert feature_vector(static, bindings) == baseline
-    finally:
-        set_placement_kernel(previous)
+    machine, streams = _block_streams(source)
+    reset_placement_cache()
+    placed = _place_all(path, machine, streams)
+    assert [_timeline(p) for p in placed] == \
+        [_timeline(p) for p in _place_all("reference", machine, streams)]
+    reset_feature_cache()
+    static = extract_static(source, "power")
+    assert feature_vector(static, bindings) == baseline
 
 
 @given(st.sampled_from(sorted(PROGRAMS)), st.integers(1, 500),

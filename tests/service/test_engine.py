@@ -105,6 +105,26 @@ def test_batch_preserves_order_and_isolates_errors(engine):
     assert len(responses[2].rows) >= 10
 
 
+#: A program nested past the recursive front end's stack depth.
+DEEP = ("program deep\n  real x\n  x = " + "(" * 3000 + "1.0" + ")" * 3000
+        + "\nend\n")
+
+
+@pytest.mark.parametrize("workers,executor", [(0, "auto"), (2, "process")],
+                         ids=["inline", "pool"])
+def test_deeply_nested_item_gets_a_400_and_spares_its_batch(workers,
+                                                            executor):
+    items = [("predict", {"source": SAXPY, "bindings": {"n": n}})
+             for n in (1, 2, 3)]
+    items.insert(2, ("predict", {"source": DEEP}))
+    with PredictionEngine(workers=workers, executor=executor) as engine:
+        results = engine.handle_batch(items)
+    assert results[2]["error"] == "RecursionError"
+    assert results[2]["status"] == 400
+    assert [r["cycles"] for i, r in enumerate(results) if i != 2] == \
+        ["11", "14", "17"]
+
+
 def test_compare_and_restructure(engine):
     comparison = engine.compare(
         CompareRequest(first=SAXPY, second=DAXPY_VARIANT,

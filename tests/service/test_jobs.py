@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.service import PredictionEngine
-from repro.service.engine import _machine_fingerprint
+from repro.service.engine import _CLIENT_ERRORS, _machine_fingerprint
 from repro.service.jobs import (
     JobManager,
     TERMINAL_STATUSES,
@@ -212,6 +212,9 @@ def test_submit_rejects_bad_payloads(engine, tmp_path):
         manager.submit({"source": SAXPY, "machine": "nonsense"})
     with pytest.raises(Exception):
         manager.submit({"source": "not fortran ("})
+    deep = "program p\n  real x\n  x = " + "(" * 3000 + "1.0" + ")" * 3000
+    with pytest.raises(_CLIENT_ERRORS):
+        manager.submit({"source": deep + "\nend\n"})
     with pytest.raises(Exception):
         manager.submit({"source": SAXPY, "trace": True})  # no trace on jobs
     manager.close()

@@ -49,16 +49,11 @@ def _predict_item(n):
 
 @pytest.fixture
 def reference():
-    """The inline (serial) answer every scheduling mode must reproduce."""
+    """The inline (serial) answer every pool shape must reproduce."""
     with PredictionEngine(workers=0) as engine:
         result = engine.handle(*_restructure_item())
     assert "error" not in result
     return result
-
-
-def test_unknown_scheduling_policy_rejected():
-    with pytest.raises(ValueError):
-        PredictionEngine(scheduling="fancy")
 
 
 def test_weight_classes():
@@ -75,11 +70,9 @@ def test_weight_classes():
     assert _is_heavy(entry("kernels", {"machine": "power"}))
 
 
-@pytest.mark.parametrize("scheduling", ["weighted", "naive"])
-def test_mixed_batch_matches_inline(scheduling, reference):
+def test_mixed_batch_matches_inline(reference):
     items = [_restructure_item()] + [_predict_item(n) for n in range(1, 7)]
-    with PredictionEngine(workers=2, executor="thread",
-                          scheduling=scheduling) as engine:
+    with PredictionEngine(workers=2, executor="thread") as engine:
         results = engine.handle_batch(items)
     assert results[0]["sequence"] == reference["sequence"]
     assert results[0]["cost"] == reference["cost"]
@@ -91,8 +84,7 @@ def test_mixed_batch_matches_inline(scheduling, reference):
 
 def test_split_restructure_through_process_pool(reference):
     items = [_restructure_item(), _predict_item(3)]
-    with PredictionEngine(workers=2, executor="process",
-                          scheduling="weighted") as engine:
+    with PredictionEngine(workers=2, executor="process") as engine:
         results = engine.handle_batch(items)
     assert results[0]["sequence"] == reference["sequence"]
     assert results[0]["cost"] == reference["cost"]
@@ -119,16 +111,6 @@ def test_task_shape_telemetry():
         assert tasks.value(shape="split") == 1
         assert tasks.value(shape="search_round") >= 1
         assert tasks.value(shape="single") == 0
-
-
-def test_naive_scheduling_uses_single_tasks():
-    items = [_predict_item(n) for n in range(1, 5)]
-    with PredictionEngine(workers=2, executor="thread",
-                          scheduling="naive") as engine:
-        engine.handle_batch(items)
-        tasks = engine.metrics.counter("repro_engine_tasks_total")
-        assert tasks.value(shape="single") == len(items)
-        assert tasks.value(shape="chunk") == 0
 
 
 def test_beam_width_is_part_of_the_cache_key():

@@ -114,6 +114,31 @@ def test_schema_violation_is_400(server):
     assert json.loads(excinfo.value.read())["error"] == "ProtocolError"
 
 
+def test_deeply_nested_source_is_400_not_5xx(server):
+    deep = ("program deep\n  real x\n  x = " + "(" * 3000 + "1.0"
+            + ")" * 3000 + "\nend\n")
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{server.port}/predict",
+        data=json.dumps({"source": deep}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=10)
+    assert excinfo.value.code == 400
+    assert json.loads(excinfo.value.read())["error"] == "RecursionError"
+    # In a batch, only the deep item fails; its neighbours still answer.
+    status, body = _post(server, "/predict", [
+        {"source": SAXPY, "bindings": {"n": 1}},
+        {"source": deep},
+        {"source": SAXPY, "bindings": {"n": 2}},
+        {"source": SAXPY, "bindings": {"n": 3}},
+    ])
+    assert status == 200
+    assert body[1]["status"] == 400
+    assert [item["cycles"] for item in body[:1] + body[2:]] == \
+        ["11", "14", "17"]
+
+
 def test_unknown_route_is_404(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(
