@@ -22,7 +22,7 @@ from .artifact import (
     result_to_payload,
     save_cost_table,
 )
-from .fit import CalibrationResult, calibrate_machine, calibration_stats
+from .fit import CalibrationResult, calibrate_machine
 from .oracle import CycleOracle, RecordedOracle, SimulatorOracle, record_fixture
 from .probes import Probe, make_probe_family
 
@@ -35,7 +35,6 @@ __all__ = [
     "RecordedOracle",
     "SimulatorOracle",
     "calibrate_machine",
-    "calibration_stats",
     "load_cost_table",
     "machine_from_artifact",
     "make_probe_family",

@@ -20,6 +20,7 @@ from ..learn.model import solve_ridge
 from ..machine.atomic import AtomicCostTable, AtomicOp
 from ..machine.machine import Machine
 from ..machine.units import UnitCost
+from ..memo import Counters
 from .probes import (
     DEFAULT_BURST_LENGTHS,
     DEFAULT_CHAIN_LENGTHS,
@@ -27,15 +28,10 @@ from .probes import (
     make_probe_family,
 )
 
-__all__ = ["CalibrationResult", "calibrate_machine", "calibration_stats"]
+__all__ = ["CalibrationResult", "calibrate_machine"]
 
-#: Process-local calibration telemetry (``repro_calib_*`` gauges).
-_STATS = {"calibrations": 0, "probes": 0}
-
-
-def calibration_stats() -> dict[str, int]:
-    """Cumulative calibration counters for this process."""
-    return dict(_STATS)
+#: Calibration telemetry, exported as ``repro_calib_*_total`` counters.
+_counts = Counters("calib", ("runs", "probes"))
 
 
 @dataclass(frozen=True)
@@ -119,8 +115,7 @@ def calibrate_machine(
     }
     mean_abs = (sum(abs(r) for r in residuals.values()) / len(residuals)
                 if residuals else 0.0)
-    _STATS["calibrations"] += 1
-    _STATS["probes"] += len(probes)
+    _counts.bump(runs=1, probes=len(probes))
     return CalibrationResult(
         machine=calibrated,
         table=table,

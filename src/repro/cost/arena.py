@@ -58,6 +58,7 @@ from typing import Sequence
 
 from ..machine.compiled import compile_ops
 from ..machine.machine import Machine
+from ..memo import LRU, Counters
 from ..obs import trace_span
 from ..translate.stream import InstrStream
 from .bins import BinSet
@@ -175,40 +176,23 @@ class _Snapshot:
 
 
 # ----------------------------------------------------------------------
-# Aggregate counters (exported as repro_arena_* gauges on /metrics)
+# Aggregate counters (exported as repro_arena_*_total on /metrics)
 
-_stats_lock = threading.Lock()
-
-
-def _zero_stats() -> dict[str, int]:
-    return {
-        "batches": 0,          # place_batch calls
-        "streams": 0,          # streams handed to place_batch
-        "dedup": 0,            # duplicate-digest streams answered by a sibling
-        "memo_hits": 0,        # streams answered by the placement memo
-        "prefix_reuses": 0,    # streams resumed from a prefix snapshot
-        "prefix_ops_saved": 0,  # instructions not re-dropped thanks to resume
-        "placed": 0,           # streams that ran the drop loop
-        "drops": 0,            # instructions actually dropped
-    }
-
-
-_stats = _zero_stats()
-
-
-def _bump(**deltas: int) -> None:
-    with _stats_lock:
-        for key, value in deltas.items():
-            _stats[key] += value
+_counts = Counters("arena", (
+    "batches",           # place_batch calls
+    "streams",           # streams handed to place_batch
+    "dedup",             # duplicate-digest streams answered by a sibling
+    "memo_hits",         # streams answered by the placement memo
+    "prefix_reuses",     # streams resumed from a prefix snapshot
+    "prefix_ops_saved",  # instructions not re-dropped thanks to resume
+    "placed",            # streams that ran the drop loop
+    "drops",             # instructions actually dropped
+))
 
 
 def arena_cache_stats() -> dict[str, int]:
     """Snapshot of the arena counters plus registry occupancy."""
-    with _stats_lock:
-        out = dict(_stats)
-    with _arenas_lock:
-        out["arenas"] = len(_arenas)
-    return out
+    return {**_counts.snapshot(), "arenas": len(_arenas)}
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +214,7 @@ class PlacementArena:
         self.ops = compile_ops(machine, self.fingerprint)
         self._lock = threading.Lock()
         self._intern: dict[tuple, int] = {}
-        self._tokens: OrderedDict[str, array] = OrderedDict()
+        self._tokens = LRU(_TOKEN_CACHE_LIMIT)
 
     # -- tokens ---------------------------------------------------------
     def _flush_locked(self) -> None:
@@ -241,7 +225,6 @@ class PlacementArena:
     def _tokenize_locked(self, stream: CompiledStream) -> array:
         tokens = self._tokens.get(stream.digest)
         if tokens is not None:
-            self._tokens.move_to_end(stream.digest)
             return tokens
         if len(self._intern) > _INTERN_LIMIT:
             self._flush_locked()
@@ -257,9 +240,7 @@ class PlacementArena:
                 token = len(intern)
                 intern[key] = token
             tokens.append(token)
-        self._tokens[stream.digest] = tokens
-        while len(self._tokens) > _TOKEN_CACHE_LIMIT:
-            self._tokens.popitem(last=False)
+        self._tokens.put(stream.digest, tokens)
         return tokens
 
     def _compile(self, stream) -> CompiledStream:
@@ -437,9 +418,9 @@ class PlacementArena:
             if span.recording:
                 span.set(placed=len(order), dropped=dropped,
                          prefix_reuses=reuses, prefix_ops_saved=saved)
-        _bump(batches=1, streams=len(streams), dedup=dedup,
-              memo_hits=memo_hits, prefix_reuses=reuses,
-              prefix_ops_saved=saved, placed=len(order), drops=dropped)
+        _counts.bump(batches=1, streams=len(streams), dedup=dedup,
+                     memo_hits=memo_hits, prefix_reuses=reuses,
+                     prefix_ops_saved=saved, placed=len(order), drops=dropped)
         return results  # type: ignore[return-value]
 
 
@@ -449,37 +430,28 @@ class PlacementArena:
 #: Arenas kept alive at once; keyed (machine fingerprint, focus span).
 _ARENA_LIMIT = 8
 
-_arenas: OrderedDict[tuple[str, int], PlacementArena] = OrderedDict()
-_arenas_lock = threading.Lock()
+_arenas = LRU(_ARENA_LIMIT)
 
 
 def get_arena(machine: Machine,
               focus_span: int = DEFAULT_FOCUS_SPAN) -> PlacementArena:
     """The shared arena for ``(machine fingerprint, focus_span)``."""
     key = (_machine_fingerprint(machine), focus_span)
-    with _arenas_lock:
-        arena = _arenas.get(key)
-        if arena is not None:
-            _arenas.move_to_end(key)
-            return arena
-    arena = PlacementArena(machine, focus_span)   # compile_ops outside lock
-    with _arenas_lock:
-        existing = _arenas.get(key)
+    arena = _arenas.get(key)
+    if arena is None:
+        arena = PlacementArena(machine, focus_span)
+        # A racing first caller may have built one meanwhile: share it.
+        existing = _arenas.peek(key)
         if existing is not None:
             return existing
-        _arenas[key] = arena
-        while len(_arenas) > _ARENA_LIMIT:
-            _arenas.popitem(last=False)
+        _arenas.put(key, arena)
     return arena
 
 
 def reset_arenas() -> None:
     """Drop every arena (tokens, intern ids) and zero the counters."""
-    global _stats
-    with _arenas_lock:
-        _arenas.clear()
-    with _stats_lock:
-        _stats = _zero_stats()
+    _arenas.clear()
+    _counts.reset()
 
 
 def place_batch(

@@ -44,14 +44,13 @@ cannot change the result.
 
 from __future__ import annotations
 
-import threading
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from ..machine.compiled import CompiledOps, compile_ops
 from ..machine.machine import Machine
+from ..memo import LRU
 from ..translate.stream import Instr, placement_digest
 from .bins import BinSet
 
@@ -119,30 +118,17 @@ class CompiledStream:
 
 COLUMNAR_CACHE_LIMIT = 4096
 
-_cache: OrderedDict[tuple[str, str], CompiledStream] = OrderedDict()
-_cache_lock = threading.Lock()
-_cache_hits = 0
-_cache_misses = 0
-_cache_evictions = 0
+_cache = LRU(COLUMNAR_CACHE_LIMIT, "columnar_cache")
 
 
 def columnar_cache_stats() -> dict[str, int]:
     """Snapshot of the compiled-stream memo's counters and size."""
-    with _cache_lock:
-        return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "evictions": _cache_evictions,
-            "entries": len(_cache),
-        }
+    return _cache.stats()
 
 
 def reset_columnar_cache() -> None:
     """Drop all compiled streams and zero the counters."""
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = _cache_misses = _cache_evictions = 0
+    _cache.clear()
 
 
 def compile_stream(
@@ -157,24 +143,14 @@ def compile_stream(
     ``digest`` / ``fingerprint`` let callers that already computed them
     (the placement memo does) skip the re-hash.
     """
-    global _cache_hits, _cache_misses, _cache_evictions
     ops = compile_ops(machine, fingerprint)
     if digest is None:
         digest = placement_digest(instrs)
     key = (ops.fingerprint, digest)
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _cache.move_to_end(key)
-            _cache_hits += 1
-            return hit
-        _cache_misses += 1
-    compiled = _lower(ops, instrs, digest)
-    with _cache_lock:
-        _cache[key] = compiled
-        while len(_cache) > COLUMNAR_CACHE_LIMIT:
-            _cache.popitem(last=False)
-            _cache_evictions += 1
+    compiled = _cache.get(key)
+    if compiled is None:
+        compiled = _lower(ops, instrs, digest)
+        _cache.put(key, compiled)
     return compiled
 
 

@@ -32,11 +32,10 @@ choices, bin grids).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import NamedTuple
 
 from ..machine.machine import Machine
+from ..memo import LRU
 from ..obs import trace_span
 from ..translate.stream import Instr, InstrStream, placement_digest
 from .bins import BinSet
@@ -165,15 +164,14 @@ def placement_kernel() -> str:
 
 PLACEMENT_CACHE_LIMIT = 2048
 
-_cache: OrderedDict[tuple[str, str, int], PlacedBlock] = OrderedDict()
-_cache_lock = threading.Lock()
-_cache_hits = 0
-_cache_misses = 0
-_cache_evictions = 0
+_cache = LRU(PLACEMENT_CACHE_LIMIT, "placement_cache")
 
-#: Machine identity -> fingerprint memo: fingerprints hash the whole
-#: cost table, so recomputing one per placement would dwarf the win.
-_fingerprints: dict[int, tuple[Machine, str]] = {}
+#: Machine identity -> (machine, fingerprint): fingerprints hash the
+#: whole cost table, so recomputing one per placement would dwarf the
+#: win.  The machine rides in the value so a recycled id() never
+#: serves another machine's fingerprint.
+_FINGERPRINT_LIMIT = 64
+_fingerprints = LRU(_FINGERPRINT_LIMIT)
 
 
 def _machine_fingerprint(machine: Machine) -> str:
@@ -181,56 +179,31 @@ def _machine_fingerprint(machine: Machine) -> str:
     if memo is not None and memo[0] is machine:
         return memo[1]
     fingerprint = machine.fingerprint()
-    if len(_fingerprints) > 64:
-        _fingerprints.clear()
-    _fingerprints[id(machine)] = (machine, fingerprint)
+    _fingerprints.put(id(machine), (machine, fingerprint))
     return fingerprint
 
 
 def placement_cache_stats() -> dict[str, int]:
     """Snapshot of the placement memo's counters and size."""
-    with _cache_lock:
-        return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "evictions": _cache_evictions,
-            "entries": len(_cache),
-        }
+    return _cache.stats()
 
 
 def reset_placement_cache() -> None:
     """Drop all memoized placements and zero the counters."""
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = _cache_misses = _cache_evictions = 0
+    _cache.clear()
 
 
 def _memo_probe(fingerprint: str, digest: str,
                 focus_span: int) -> PlacedBlock | None:
     """Memo read for the arena's batch path; counts a hit or a miss."""
-    global _cache_hits, _cache_misses
-    key = (fingerprint, digest, focus_span)
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _cache.move_to_end(key)
-            _cache_hits += 1
-            return _share(hit)
-        _cache_misses += 1
-    return None
+    hit = _cache.get((fingerprint, digest, focus_span))
+    return None if hit is None else _share(hit)
 
 
 def _memo_store(fingerprint: str, digest: str, focus_span: int,
                 placed: PlacedBlock) -> None:
     """Memo write for the arena's batch path (same LRU bound)."""
-    global _cache_evictions
-    key = (fingerprint, digest, focus_span)
-    with _cache_lock:
-        _cache[key] = _share(placed)
-        while len(_cache) > PLACEMENT_CACHE_LIMIT:
-            _cache.popitem(last=False)
-            _cache_evictions += 1
+    _cache.put((fingerprint, digest, focus_span), _share(placed))
 
 
 def _share(placed: PlacedBlock) -> PlacedBlock:
@@ -272,7 +245,6 @@ def place_stream(
     pre-lowered :class:`~repro.cost.columnar.CompiledStream`, in which
     case its cached digest is reused instead of re-hashed.
     """
-    global _cache_hits, _cache_misses, _cache_evictions
     if focus_span < 1:
         raise ValueError("focus span must be at least 1")
 
@@ -294,11 +266,7 @@ def place_stream(
         if digest is None:
             digest = placement_digest(instr_list)
         key = (fingerprint, digest, focus_span)
-        with _cache_lock:
-            hit = _cache.get(key)
-            if hit is not None:
-                _cache.move_to_end(key)
-                _cache_hits += 1
+        hit = _cache.get(key)
         if hit is not None:
             # Memoized placements still announce the phase: traces and
             # the cost.place histogram stay complete under a warm memo.
@@ -308,16 +276,10 @@ def place_stream(
                              focus_span=focus_span, cycles=hit.cycles,
                              cached=True)
             return _share(hit)
-        with _cache_lock:
-            _cache_misses += 1
     placed = _place_uncached(machine, instr_list, focus_span, bins,
                              compiled, digest)
     if key is not None:
-        with _cache_lock:
-            _cache[key] = _share(placed)
-            while len(_cache) > PLACEMENT_CACHE_LIMIT:
-                _cache.popitem(last=False)
-                _cache_evictions += 1
+        _cache.put(key, _share(placed))
     return placed
 
 

@@ -33,12 +33,13 @@ import logging
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
 from ..machine.registry import machine_fingerprint
+from ..memo import LRU
 from ..service.metrics import MetricsRegistry
 from .features import (
     FEATURE_VERSION,
@@ -55,6 +56,9 @@ log = logging.getLogger("repro.learn.trainer")
 
 #: Interval-width histogram buckets (relative width, unitless).
 WIDTH_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+
+#: Bound on the per-surrogate fast-answer memo.
+_SERVE_MEMO_LIMIT = 4096
 
 
 @dataclass
@@ -105,10 +109,7 @@ class Surrogate:
         #: repeated fast predict costs one dict lookup instead of a
         #: featurize + dot product; versioned keys age out via LRU
         #: after a hot swap.
-        self._serve_memo: OrderedDict[tuple, tuple[dict, float]] = \
-            OrderedDict()
-        self._serve_memo_limit = 4096
-        self._serve_lock = threading.Lock()
+        self._serve_memo = LRU(_SERVE_MEMO_LIMIT)
         # plain-int mirrors of the registry counters, for stats()/healthz
         self._n_served = 0
         self._n_fallthrough = 0
@@ -200,10 +201,7 @@ class Surrogate:
                     tuple(sorted((k, str(v))
                                  for k, v in request.bindings.items())),
                     model.version)
-        with self._serve_lock:
-            hit = self._serve_memo.get(memo_key)
-            if hit is not None:
-                self._serve_memo.move_to_end(memo_key)
+        hit = self._serve_memo.get(memo_key)
         if hit is not None:
             template, rel_width = hit
         else:
@@ -233,10 +231,7 @@ class Surrogate:
                 "interval": [lo, hi],
                 "model_version": model.version,
             }
-            with self._serve_lock:
-                self._serve_memo[memo_key] = (template, rel_width)
-                if len(self._serve_memo) > self._serve_memo_limit:
-                    self._serve_memo.popitem(last=False)
+            self._serve_memo.put(memo_key, (template, rel_width))
         if fidelity == "auto":
             tolerance = request.tolerance
             if tolerance is None:

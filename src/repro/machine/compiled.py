@@ -26,6 +26,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
+from ..memo import LRU
 from .machine import Machine
 from .units import UnitKind
 
@@ -59,11 +60,13 @@ class CompiledOps:
 
 #: fingerprint -> compilation (never stale: the fingerprint covers the
 #: whole cost table, unit inventory, and mapping).
-_BY_FINGERPRINT: dict[str, CompiledOps] = {}
+_FINGERPRINT_LIMIT = 256
+_BY_FINGERPRINT = LRU(_FINGERPRINT_LIMIT, "compiled_ops")
 #: id(machine) -> (machine, compilation) fast path, so the common case
-#: (the same registry-singleton machine over and over) costs one dict
+#: (the same registry-singleton machine over and over) costs one memo
 #: lookup instead of a cost-table hash.
-_BY_IDENTITY: dict[int, tuple[Machine, CompiledOps]] = {}
+_IDENTITY_LIMIT = 64
+_BY_IDENTITY = LRU(_IDENTITY_LIMIT)
 
 
 def reset_compiled_ops() -> None:
@@ -82,16 +85,8 @@ def compile_ops(machine: Machine, fingerprint: str | None = None) -> CompiledOps
     compiled = _BY_FINGERPRINT.get(fingerprint)
     if compiled is None:
         compiled = _compile(machine, fingerprint)
-        # Real processes see a handful of machines; randomized test
-        # suites see thousands.  Flush wholesale rather than LRU: a
-        # re-compile is cheap and the identity memo still short-circuits
-        # the common case.
-        if len(_BY_FINGERPRINT) > 256:
-            _BY_FINGERPRINT.clear()
-        _BY_FINGERPRINT[fingerprint] = compiled
-    if len(_BY_IDENTITY) > 64:
-        _BY_IDENTITY.clear()
-    _BY_IDENTITY[id(machine)] = (machine, compiled)
+        _BY_FINGERPRINT.put(fingerprint, compiled)
+    _BY_IDENTITY.put(id(machine), (machine, compiled))
     return compiled
 
 

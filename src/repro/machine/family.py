@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..memo import LRU
 from .machine import Machine
 from .units import FunctionalUnit, UnitKind
 
@@ -65,7 +66,8 @@ _SINGLETON_KINDS = frozenset({UnitKind.BRANCH, UnitKind.CRLOGIC})
 #: fingerprint memo and the compiled-op memo are keyed by machine
 #: identity, so handing back the same object per (base, width) keeps
 #: repeated sweeps off the sha256 path entirely.
-_MEMBER_MEMO: dict[tuple[int, int], tuple[Machine, Machine]] = {}
+_MEMBER_MEMO_LIMIT = 256
+_MEMBER_MEMO = LRU(_MEMBER_MEMO_LIMIT, "family_members")
 
 
 def family_machine(
@@ -120,9 +122,7 @@ def family_machine(
         dispatch_width=width,
     )
     if key is not None:
-        if len(_MEMBER_MEMO) > 256:
-            _MEMBER_MEMO.clear()
-        _MEMBER_MEMO[key] = (machine, member)
+        _MEMBER_MEMO.put(key, (machine, member))
     return member
 
 

@@ -39,8 +39,11 @@ Workers keep a bounded pool of :class:`IncrementalPredictor` instances
 parallel search uses), so repeated work on the same program -- other
 evaluation points, restructure probes -- reuses the paper's section
 3.3.1 affected-region cache instead of re-aggregating from scratch.
-Worker tasks also report their placement-memo hit/miss deltas, which
-the engine folds into ``repro_placement_cache_requests_total``.
+Every process-pool task also returns what it did to its worker's memos
+and work counters (a :func:`repro.memo.delta`); the engine folds those
+into its own ``/metrics``, so counts cover the pool workers, not only
+the engine process.  Thread workers share the engine's memos and need
+no such report.
 """
 
 from __future__ import annotations
@@ -59,13 +62,11 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from ..cost.arena import arena_cache_stats
-from ..cost.columnar import columnar_cache_stats
-from ..cost.placement import placement_cache_stats
 from ..ir.digest import program_digest, stmts_digest
 from ..ir.parser import ParseError, parse_program
 from ..ir.lexer import LexError
 from ..machine.registry import get_machine, machine_fingerprint
+from ..memo import delta, snapshot
 from ..obs import (
     TraceBuffer,
     Tracer,
@@ -81,7 +82,7 @@ from ..transform.parallel import (
     shared_predictor,
 )
 from .cache import ResultCache, endpoint_of
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, StatsExport
 from .protocol import (
     CompareRequest,
     CompareResponse,
@@ -364,10 +365,15 @@ def execute_request(kind: str, payload: Mapping[str, Any],
     return _execute_one(kind, payload)
 
 
-def _placement_delta(before: Mapping[str, int],
-                     after: Mapping[str, int]) -> dict[str, int]:
-    return {"hits": after["hits"] - before["hits"],
-            "misses": after["misses"] - before["misses"]}
+#: True only in a process-pool worker (set by the pool's initializer).
+#: Thread workers share the engine's memos, which it syncs itself, so
+#: they skip both snapshots and report nothing.
+_IN_POOL_WORKER = False
+
+
+def _mark_pool_worker() -> None:
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
 
 
 def execute_request_chunk(jobs: Sequence[tuple[str, Mapping[str, Any]]],
@@ -377,23 +383,26 @@ def execute_request_chunk(jobs: Sequence[tuple[str, Mapping[str, Any]]],
     """Run several light requests as one pool task.
 
     A task per tiny predict pays pool round-trip overhead comparable to
-    the work itself; grouping amortizes it.  The worker also reports
-    its placement-memo hit/miss delta, which the engine cannot observe
-    across a process boundary.
+    the work itself; grouping amortizes it.  In a process-pool worker
+    the task also returns its memo/counter delta, which the engine
+    cannot observe across a process boundary.
     """
-    before = placement_cache_stats()
+    before = snapshot() if _IN_POOL_WORKER else None
     results = [execute_request(kind, payload, collect_trace, trace_context)
                for kind, payload in jobs]
-    return {"results": results,
-            "placement": _placement_delta(before, placement_cache_stats())}
+    return {"results": results, "stats": _stats_since(before)}
 
 
 def _search_round_chunk(root, root_key, machine, programs) -> dict[str, Any]:
     """Evaluate one slice of a split restructure's round batch."""
-    before = placement_cache_stats()
+    before = snapshot() if _IN_POOL_WORKER else None
     costs = evaluate_chunk(root, root_key, machine, programs)
-    return {"costs": costs,
-            "placement": _placement_delta(before, placement_cache_stats())}
+    return {"costs": costs, "stats": _stats_since(before)}
+
+
+def _stats_since(before: dict[str, dict[str, int]] | None,
+                 ) -> dict[str, dict[str, int]]:
+    return {} if before is None else delta(before, snapshot())
 
 
 def _fast_path_trace(kind: str) -> list[dict[str, Any]]:
@@ -623,12 +632,9 @@ class PredictionEngine:
         self._tasks = self.metrics.counter(
             "repro_engine_tasks_total",
             "Worker-pool tasks submitted, by shape.")
-        self._placement = self.metrics.counter(
-            "repro_placement_cache_requests_total",
-            "Placement-memo lookups by result (engine + process workers).")
-        self._placement_guard = threading.Lock()
-        base = placement_cache_stats()
-        self._placement_seen = (base["hits"], base["misses"])
+        #: Memo and work counters: this process's, synced after every
+        #: batch, plus the deltas process-pool tasks report.
+        self._stats = StatsExport(self.metrics, self._local_stats)
         self.jobs = None   # JobManager once attach_jobs() is called
         #: Recent request traces by request id, behind /debug/trace.
         self.traces = TraceBuffer(capacity=64)
@@ -650,7 +656,8 @@ class PredictionEngine:
         policy = self._executor_policy
         if policy in ("auto", "process"):
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_mark_pool_worker)
                 self._pool_kind = "process"
                 return
             except (OSError, ValueError):
@@ -781,7 +788,7 @@ class PredictionEngine:
                     resolve(dup.index, dup.kind, dict(result))
 
             self._run_pending(pending, finish)
-            self._sync_local_placement()
+            self._stats.sync()
         return results  # type: ignore[return-value]
 
     def _finish(self, entry: _Pending, result: dict[str, Any],
@@ -879,19 +886,20 @@ class PredictionEngine:
         heavy = [entry for entry in pending if _is_heavy(entry)]
         waiters: dict[Any, tuple[str, Any, Any]] = {}
 
+        groups: list[tuple[str, list[_Pending]]] = []
         if light:
             chunk_count = min(self.workers, max(1, len(light) // _GROUP_MIN))
-            for group in _chunked(light, chunk_count):
-                jobs = [(entry.kind, entry.payload) for entry in group]
-                job = (execute_request_chunk, (jobs, collect, ctx))
-                waiters[self._submit(*_flatten(job))] = ("chunk", group, job)
-                self._tasks.inc(shape="chunk")
-        singles = [entry for entry in heavy if entry.kind != "restructure"]
+            groups += [("chunk", group)
+                       for group in _chunked(light, chunk_count)]
+        # Heavy non-restructure requests ride alone: a chunk of one.
+        groups += [("single", [entry]) for entry in heavy
+                   if entry.kind != "restructure"]
         splits = [entry for entry in heavy if entry.kind == "restructure"]
-        for entry in singles:
-            job = (execute_request, (entry.kind, entry.payload, collect, ctx))
-            waiters[self._submit(*_flatten(job))] = ("single", entry, job)
-            self._tasks.inc(shape="single")
+        for shape, group in groups:
+            jobs = [(entry.kind, entry.payload) for entry in group]
+            job = (execute_request_chunk, (jobs, collect, ctx))
+            waiters[self._submit(*_flatten(job))] = ("chunk", group, job)
+            self._tasks.inc(shape=shape)
         drivers: ThreadPoolExecutor | None = None
         if splits:
             drivers = ThreadPoolExecutor(
@@ -907,15 +915,11 @@ class PredictionEngine:
                 shape, target, job = waiters[future]
                 if shape == "chunk":
                     outcome = self._result_or_retry(future, job)
-                    self._ingest_placement(outcome.get("placement"))
+                    self._stats.fold(outcome["stats"])
                     for entry, result in zip(target, outcome["results"]):
                         with trace_span("engine.execute", kind=entry.kind,
                                         cached=False):
                             finish(entry, result)
-                elif shape == "single":
-                    with trace_span("engine.execute", kind=target.kind,
-                                    cached=False):
-                        finish(target, self._result_or_retry(future, job))
                 else:
                     with trace_span("engine.execute", kind=target.kind,
                                     cached=False):
@@ -991,7 +995,7 @@ class PredictionEngine:
                 costs: list = []
                 for future in futures:
                     outcome = future.result()
-                    self._ingest_placement(outcome.get("placement"))
+                    self._stats.fold(outcome["stats"])
                     costs.extend(outcome["costs"])
                 self._tasks.inc(len(chunks), shape="search_round")
                 return costs
@@ -1085,35 +1089,13 @@ class PredictionEngine:
                 kind, payload, collect_trace=want_trace,
                 trace_context=_trace_ctx() if want_trace else None)
 
-    # -- placement-memo telemetry --------------------------------------
-    def _ingest_placement(self, delta: Mapping[str, int] | None) -> None:
-        """Fold a worker task's placement-memo delta into the counter.
-
-        Thread workers and inline execution hit *this* process's memo,
-        which :meth:`_sync_local_placement` already counts; folding
-        their deltas too would double-count, so only process workers
-        report this way.
-        """
-        if not delta or self._pool_kind != "process":
-            return
-        hits = int(delta.get("hits", 0))
-        misses = int(delta.get("misses", 0))
-        if hits > 0:
-            self._placement.inc(hits, result="hit")
-        if misses > 0:
-            self._placement.inc(misses, result="miss")
-
-    def _sync_local_placement(self) -> None:
-        """Count engine-process placement-memo activity since last sync."""
-        stats = placement_cache_stats()
-        with self._placement_guard:
-            hits = stats["hits"] - self._placement_seen[0]
-            misses = stats["misses"] - self._placement_seen[1]
-            self._placement_seen = (stats["hits"], stats["misses"])
-        if hits > 0:
-            self._placement.inc(hits, result="hit")
-        if misses > 0:
-            self._placement.inc(misses, result="miss")
+    # -- memo / work-counter telemetry ---------------------------------
+    def _local_stats(self) -> dict[str, dict[str, int]]:
+        """This process's registered memo stats plus the result cache's."""
+        stats = self.cache.stats
+        return {**snapshot(), "cache": {
+            "hits": stats.hits, "misses": stats.misses,
+            "evictions": stats.evictions, "entries": len(self.cache)}}
 
     # -- typed API ------------------------------------------------------
     def _typed(self, request: Any):
@@ -1158,107 +1140,14 @@ class PredictionEngine:
 
     # -- observability --------------------------------------------------
     def export_cache_metrics(self) -> None:
-        """Refresh the cache gauges (called at /metrics scrape time)."""
-        stats = self.cache.stats
-        self.metrics.gauge(
-            "repro_cache_hits_total", "Result-cache hits.").set(stats.hits)
-        self.metrics.gauge(
-            "repro_cache_misses_total", "Result-cache misses.").set(stats.misses)
-        self.metrics.gauge(
-            "repro_cache_evictions_total",
-            "Result-cache evictions.").set(stats.evictions)
-        self.metrics.gauge(
-            "repro_cache_entries", "Resident result-cache entries.").set(
-            len(self.cache))
-        self.metrics.gauge(
-            "repro_engine_workers", "Configured worker count.").set(self.workers)
+        """Refresh counters and gauges (called at /metrics scrape time)."""
+        from .. import calib, sweep  # noqa: F401 -- register their counters
+
         if self.surrogate is not None:
             self.surrogate.export_metrics()
-        self._sync_local_placement()
-        placement = placement_cache_stats()
+        self._stats.export()
         self.metrics.gauge(
-            "repro_placement_cache_entries",
-            "Resident placement-memo entries (engine process).").set(
-            placement["entries"])
-        self.metrics.gauge(
-            "repro_placement_cache_evictions_total",
-            "Placement-memo evictions (engine process).").set(
-            placement["evictions"])
-        columnar = columnar_cache_stats()
-        self.metrics.gauge(
-            "repro_columnar_cache_hits_total",
-            "Compiled-stream cache hits (engine process).").set(
-            columnar["hits"])
-        self.metrics.gauge(
-            "repro_columnar_cache_misses_total",
-            "Compiled-stream cache misses (engine process).").set(
-            columnar["misses"])
-        self.metrics.gauge(
-            "repro_columnar_cache_entries",
-            "Resident compiled-stream cache entries (engine process).").set(
-            columnar["entries"])
-        self.metrics.gauge(
-            "repro_columnar_cache_evictions_total",
-            "Compiled-stream cache evictions (engine process).").set(
-            columnar["evictions"])
-        arena = arena_cache_stats()
-        self.metrics.gauge(
-            "repro_arena_streams_total",
-            "Streams placed through the batch arena (engine process).").set(
-            arena["streams"])
-        self.metrics.gauge(
-            "repro_arena_dedup_total",
-            "Batch-identical streams answered by dedup (engine process).").set(
-            arena["dedup"])
-        self.metrics.gauge(
-            "repro_arena_memo_hits_total",
-            "Arena batch slots answered by the placement memo "
-            "(engine process).").set(arena["memo_hits"])
-        self.metrics.gauge(
-            "repro_arena_prefix_reuses_total",
-            "Arena drops resumed from a shared-prefix snapshot "
-            "(engine process).").set(arena["prefix_reuses"])
-        self.metrics.gauge(
-            "repro_arena_prefix_ops_saved_total",
-            "Instruction drops skipped via prefix snapshots "
-            "(engine process).").set(arena["prefix_ops_saved"])
-        self.metrics.gauge(
-            "repro_arena_drops_total",
-            "Instructions actually dropped by the arena "
-            "(engine process).").set(arena["drops"])
-        from ..calib import calibration_stats
-        from ..sweep import sweep_stats
-
-        sweep = sweep_stats()
-        self.metrics.gauge(
-            "repro_sweep_runs_total",
-            "Width sweeps evaluated (engine process).").set(sweep["sweeps"])
-        self.metrics.gauge(
-            "repro_sweep_widths_total",
-            "Ladder points evaluated across all sweeps "
-            "(engine process).").set(sweep["widths"])
-        self.metrics.gauge(
-            "repro_sweep_shared_translations_total",
-            "Translations replayed from the sweep facade instead of "
-            "re-translated (engine process).").set(
-            sweep["shared_translations"])
-        self.metrics.gauge(
-            "repro_sweep_batched_streams_total",
-            "Streams pre-warmed via batched arena placement during sweeps "
-            "(engine process).").set(sweep["batched_streams"])
-        self.metrics.gauge(
-            "repro_sweep_symbolic_hits_total",
-            "Sweeps served from the memoized symbolic ladder "
-            "(engine process).").set(sweep["symbolic_hits"])
-        calib = calibration_stats()
-        self.metrics.gauge(
-            "repro_calib_runs_total",
-            "Cost-table calibrations performed (engine process).").set(
-            calib["calibrations"])
-        self.metrics.gauge(
-            "repro_calib_probes_total",
-            "Probe streams measured across all calibrations "
-            "(engine process).").set(calib["probes"])
+            "repro_engine_workers", "Configured worker count.").set(self.workers)
         age_hist = self.metrics.histogram(
             "repro_cache_entry_age_seconds",
             "Ages of resident result-cache entries (snapshot per scrape).",

@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
+
+from ..memo import delta
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
-    "MetricSample", "MetricFamily", "parse_exposition", "render_exposition",
+    "MetricSample", "MetricFamily", "StatsExport", "parse_exposition",
+    "render_exposition",
 ]
 
 #: Latency buckets in seconds -- spans a cache hit (~10us) to a deep
@@ -234,6 +237,58 @@ class MetricsRegistry:
             lines.append(f"# TYPE {metric.name} {metric.kind}")
             lines.extend(metric.render())
         return "\n".join(lines) + "\n"
+
+
+class StatsExport:
+    """Publish :mod:`repro.memo`-style stats into a registry.
+
+    ``read`` returns cumulative per-group stats (a
+    :func:`repro.memo.snapshot`, plus whatever the owner adds).  Every
+    count ``k`` of group ``X`` becomes the counter ``repro_X_k_total``,
+    advanced by what happened since the previous :meth:`sync`; an
+    ``entries`` key becomes the gauge ``repro_X_entries``.  Deltas
+    computed elsewhere -- a pool worker's -- go through :meth:`fold`.
+    """
+
+    def __init__(self, metrics: MetricsRegistry,
+                 read: Callable[[], Mapping[str, Mapping[str, int]]]):
+        self.metrics = metrics
+        self._read = read
+        self._lock = threading.Lock()
+        self._seen = read()
+
+    def fold(self, counts: Mapping[str, Mapping[str, int]]) -> None:
+        """Advance the counters by a :func:`repro.memo.delta`."""
+        for group, increases in counts.items():
+            for key, value in increases.items():
+                if value > 0:
+                    self._counter(group, key).inc(value)
+
+    def sync(self) -> None:
+        """Fold in this process's activity since the last sync."""
+        # Read inside the lock: two overlapping syncs must see ordered
+        # snapshots, or the later one's counts look like a reset.
+        with self._lock:
+            now = self._read()
+            before, self._seen = self._seen, now
+        self.fold(delta(before, now))
+
+    def export(self) -> None:
+        """:meth:`sync`, then refresh every ``entries`` gauge (and
+        register still-zero counters, so every series renders)."""
+        self.sync()
+        for group, stats in self._seen.items():
+            for key, value in stats.items():
+                if key == "entries":
+                    self.metrics.gauge(
+                        f"repro_{group}_entries",
+                        f"Resident {group} entries.").set(value)
+                else:
+                    self._counter(group, key)
+
+    def _counter(self, group: str, key: str) -> Counter:
+        return self.metrics.counter(f"repro_{group}_{key}_total",
+                                    f"Cumulative {key} of {group}.")
 
 
 # ---------------------------------------------------------------------------

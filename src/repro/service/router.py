@@ -50,8 +50,9 @@ never cost a network hop.
 
 ``/metrics`` exports ``repro_router_forwards_total{shard,outcome}``,
 ``repro_router_failovers_total``, ``repro_router_jobs_total{route}``,
-per-shard ring-ownership and liveness gauges, digest-memo size and
-eviction gauges, and HTTP latency histograms.
+per-shard ring-ownership and liveness gauges, the digest memo's
+``repro_router_digest_memo_{hits,misses,evictions}_total`` counters
+with its size and entry gauges, and HTTP latency histograms.
 
 * **Observability.**  With ``tracing=True`` every request runs under a
   ``router.handle`` span, each forward attempt under a
@@ -77,7 +78,6 @@ import logging
 import signal
 import threading
 import time
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from socketserver import ThreadingMixIn
 from typing import Any, Callable, Mapping, Sequence
@@ -86,6 +86,7 @@ from urllib.parse import parse_qs, urlparse
 from ..ir.digest import program_digest
 from ..ir.lexer import LexError
 from ..ir.parser import ParseError, parse_program
+from ..memo import LRU
 from ..obs import (
     TRACEPARENT_HEADER,
     ExemplarRing,
@@ -102,7 +103,7 @@ from ..obs import (
 from ..obs.aggregate import merge_expositions
 from .client import HTTPConnectionPool, _split_base_url
 from .jobs import JOBS_PREFIX, job_affinity_key, parse_job_path
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, StatsExport
 from .protocol import ProtocolError, error_envelope, request_from_dict
 from .shard import HashRing
 
@@ -126,39 +127,19 @@ _CONNECT_ERRORS = (ConnectionError, TimeoutError, OSError,
                    http.client.HTTPException)
 
 
-class _DigestMemo:
-    """Bounded source-text -> program-digest memo (thread-safe LRU).
+def _memo_digest(memo: LRU, source: str) -> str:
+    """The program digest of ``source``, memoized on its raw text.
 
     Routing must not re-parse a program on every request: after the
     first sight of a source text, the digest lookup is one SHA-256 of
-    the raw text plus a dict hit.
+    the raw text plus a memo hit.
     """
-
-    def __init__(self, maxsize: int = 4096):
-        self.maxsize = max(1, maxsize)
-        self.evictions = 0
-        self._data: OrderedDict[str, str] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def digest(self, source: str) -> str:
-        text_key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        with self._lock:
-            hit = self._data.get(text_key)
-            if hit is not None:
-                self._data.move_to_end(text_key)
-                return hit
+    text_key = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    value = memo.get(text_key)
+    if value is None:
         value = program_digest(parse_program(source))
-        with self._lock:
-            self._data[text_key] = value
-            self._data.move_to_end(text_key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-        return value
+        memo.put(text_key, value)
+    return value
 
 
 class BackendState:
@@ -406,7 +387,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
         try:
             payload = self._read_body()
             request = request_from_dict("restructure_job", payload)
-            key = self.server._digests.digest(request.source)
+            key = _memo_digest(self.server._digests, request.source)
         except (ProtocolError, ParseError, LexError, ValueError,
                 KeyError, json.JSONDecodeError) as error:
             self._send_json(error_envelope(error, status=400), 400)
@@ -489,7 +470,10 @@ class ShardRouter(ThreadingMixIn, HTTPServer):
         self.slo = slo
         self.exemplars = ExemplarRing(capacity=trace_exemplars)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._digests = _DigestMemo(maxsize=digest_memo_size)
+        self._digests = LRU(max(1, digest_memo_size))
+        self._digest_stats = StatsExport(
+            self.metrics,
+            lambda: {"router_digest_memo": self._digests.stats()})
         self._local_engine = None
         self._local_lock = threading.Lock()
         self._thread: threading.Thread | None = None
@@ -597,12 +581,12 @@ class ShardRouter(ThreadingMixIn, HTTPServer):
     def _ring_key(self, kind: str, request: Any) -> str:
         """The shard key: digest(s) for programs, machine for kernels."""
         if kind in ("predict", "restructure", "sweep"):
-            return self._digests.digest(request.source)
+            return _memo_digest(self._digests, request.source)
         if kind == "compare":
             # Both digests, so a given pair always compares on one shard
             # (its compare cache key contains both).
-            return (self._digests.digest(request.first)
-                    + self._digests.digest(request.second))
+            return (_memo_digest(self._digests, request.first)
+                    + _memo_digest(self._digests, request.second))
         if kind == "kernels":
             return f"kernels|{request.machine}"
         raise ProtocolError(f"unknown request kind {kind!r}")
@@ -1020,16 +1004,10 @@ class ShardRouter(ThreadingMixIn, HTTPServer):
         self.metrics.gauge(
             "repro_router_backends",
             "Configured backend count.").set(len(self.backends))
-        self.metrics.gauge(
-            "repro_router_digest_memo_entries",
-            "Resident source->digest memo entries.").set(len(self._digests))
-        self.metrics.gauge(
-            "repro_router_digest_memo_evictions_total",
-            "Memo entries evicted since start (LRU cap).",
-        ).set(self._digests.evictions)
+        self._digest_stats.export()
         self.metrics.gauge(
             "repro_router_digest_memo_size",
-            "Configured digest-memo capacity.").set(self._digests.maxsize)
+            "Configured digest-memo capacity.").set(self._digests.limit)
         self.metrics.gauge(
             "repro_router_trace_exemplars",
             "Exemplar traces retained (failed + slowest).",

@@ -49,22 +49,18 @@ from .ir.symtab import SymbolTable
 from .machine.family import family_machine, family_width_ladder, \
     mechanistic_cycles
 from .machine.machine import Machine
+from .memo import LRU, Counters
 from .obs import trace_span
 from .symbolic.expr import PerfExpr
 from .translate.backend_opts import AGGRESSIVE_BACKEND, BackendFlags
 from .translate.stream import Instr, InstrStream, reindex
 from .translate.translator import BlockInfo
 
-__all__ = ["SweepPoint", "SweepOutcome", "sweep_program", "sweep_stats"]
+__all__ = ["SweepPoint", "SweepOutcome", "sweep_program"]
 
-#: Process-local sweep telemetry, exported as ``repro_sweep_*`` gauges.
-_STATS = {"sweeps": 0, "widths": 0, "shared_translations": 0,
-          "batched_streams": 0, "symbolic_hits": 0}
-
-
-def sweep_stats() -> dict[str, int]:
-    """Cumulative sweep counters for this process."""
-    return dict(_STATS)
+#: Sweep telemetry, exported as ``repro_sweep_*_total`` counters.
+_counts = Counters("sweep", ("runs", "widths", "shared_translations",
+                             "batched_streams"))
 
 
 @dataclass(frozen=True)
@@ -303,8 +299,9 @@ class _SymbolicSweep:
 #: (cache_key, id(base), ladder, flags, focus_span) -> (base, symbolic).
 #: The base machine rides in the value so a recycled id() after a
 #: recalibration (new table object, same name) can never serve stale.
-_SYMBOLIC_MEMO: dict = {}
+#: Its hits are the ``repro_sweep_symbolic_hits_total`` counter.
 _SYMBOLIC_MEMO_CAP = 128
+_SYMBOLIC_MEMO = LRU(_SYMBOLIC_MEMO_CAP, "sweep_symbolic")
 
 
 def _build_symbolic(program, members, symtab, flags,
@@ -355,8 +352,7 @@ def _build_symbolic(program, members, symtab, flags,
                              machine=member.name)
         placement_exprs.append(expr)
 
-    _STATS["shared_translations"] += shared.hits
-    _STATS["batched_streams"] += batched
+    _counts.bump(shared_translations=shared.hits, batched_streams=batched)
     return _SymbolicSweep(
         count_expr=count_expr,
         placement_exprs=tuple(placement_exprs),
@@ -415,15 +411,12 @@ def sweep_program(
         entry = _SYMBOLIC_MEMO.get(memo_key)
         if entry is not None and entry[0] is base:
             symbolic = entry[1]
-            _STATS["symbolic_hits"] += 1
     if symbolic is None:
         symtab = SymbolTable.from_program(program)
         symbolic = _build_symbolic(program, members, symtab, flags,
                                    focus_span)
         if memo_key is not None:
-            if len(_SYMBOLIC_MEMO) >= _SYMBOLIC_MEMO_CAP:
-                _SYMBOLIC_MEMO.pop(next(iter(_SYMBOLIC_MEMO)))
-            _SYMBOLIC_MEMO[memo_key] = (base, symbolic)
+            _SYMBOLIC_MEMO.put(memo_key, (base, symbolic))
 
     instructions = float(symbolic.count_expr.evaluate(bindings))
     points = []
@@ -451,8 +444,7 @@ def sweep_program(
     saturation = next(
         point.width for point in points
         if point.cycles <= best * (1.0 + saturation_tolerance))
-    _STATS["sweeps"] += 1
-    _STATS["widths"] += len(ladder)
+    _counts.bump(runs=1, widths=len(ladder))
     return SweepOutcome(
         machine=base.name,
         widths=ladder,

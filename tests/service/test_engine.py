@@ -174,7 +174,7 @@ def test_metrics_counters(engine):
     assert requests.value(kind="predict", outcome="computed") == 1
     assert requests.value(kind="predict", outcome="cache_hit") == 1
     engine.export_cache_metrics()
-    assert engine.metrics.gauge("repro_cache_hits_total").value() == 1
+    assert engine.metrics.counter("repro_cache_hits_total").value() == 1
 
 
 @pytest.mark.parametrize("executor", ["process", "thread"])
@@ -372,6 +372,107 @@ def test_arena_gauges_exported(engine):
     streams = [[Instr(0, "fpu_arith"), Instr(1, "fpu_arith", deps=(0,))]] * 3
     place_batch(power_machine(), streams, use_memo=False)
     engine.export_cache_metrics()
-    assert engine.metrics.gauge("repro_arena_streams_total").value() == 3
-    assert engine.metrics.gauge("repro_arena_dedup_total").value() == 2
-    assert engine.metrics.gauge("repro_arena_drops_total").value() == 2
+    assert engine.metrics.counter("repro_arena_streams_total").value() == 3
+    assert engine.metrics.counter("repro_arena_dedup_total").value() == 2
+    assert engine.metrics.counter("repro_arena_drops_total").value() == 2
+
+
+def _counter_totals(engine, names):
+    engine.export_cache_metrics()
+    return {name: engine.metrics.counter(name).value() for name in names}
+
+
+def test_pool_worker_counts_reach_the_engine():
+    """Work done in pool workers is counted like inline work, once:
+    ten kernel sweeps then ten kernel predicts export the same counter
+    increments from a two-worker process or thread pool as inline."""
+    from repro import sweep
+    from repro.bench.kernels import kernel, kernel_names
+    from repro.cost import reset_arenas, reset_columnar_cache
+    from repro.service import engine as engine_mod
+
+    sources = [kernel(name).source for name in kernel_names()]
+    batch = ([("sweep", {"source": s, "bindings": {"n": "100"}})
+              for s in sources]
+             + [("predict", {"source": s, "bindings": {"n": "100"}})
+                for s in sources])
+    names = ("repro_sweep_runs_total", "repro_sweep_widths_total",
+             "repro_arena_streams_total", "repro_placement_cache_hits_total",
+             "repro_placement_cache_misses_total",
+             "repro_columnar_cache_hits_total",
+             "repro_columnar_cache_misses_total")
+    totals = []
+    for kwargs in ({"workers": 0}, {"workers": 2, "executor": "process"},
+                   {"workers": 2, "executor": "thread"}):
+        # Cold memos each time (the pool forks on its first batch).
+        engine_mod._predictors.clear()
+        sweep._SYMBOLIC_MEMO.clear()
+        reset_placement_cache()
+        reset_columnar_cache()
+        reset_arenas()
+        with PredictionEngine(cache_size=64, **kwargs) as engine:
+            results = engine.handle_batch(batch)
+            assert all("error" not in result for result in results)
+            totals.append(_counter_totals(engine, names))
+    inline, pooled, threaded = totals
+    assert inline["repro_sweep_runs_total"] == 10
+    assert inline["repro_sweep_widths_total"] == 50
+    assert inline["repro_arena_streams_total"] == 150
+    assert pooled == inline
+    assert threaded == inline
+
+
+def test_concurrent_batches_and_scrapes_count_exactly():
+    """Batches and ``/metrics`` scrapes racing on one engine: every
+    exported memo counter ends at its inline total, no jump, no loss."""
+    import sys
+    import threading
+
+    from repro import memo
+
+    before = memo.snapshot()
+    with PredictionEngine(cache_size=8, workers=0) as engine:
+        errors: list[BaseException] = []
+
+        def batches(seed: int) -> None:
+            try:
+                for i in range(15):
+                    n = str(10 + (seed * 15 + i) % 20)
+                    engine.handle_batch(
+                        [("predict", {"source": SAXPY, "bindings": {"n": n}}),
+                         ("predict", {"source": DAXPY_VARIANT,
+                                      "bindings": {"n": n}})])
+            except BaseException as error:  # noqa: BLE001 -- the assertion
+                errors.append(error)
+
+        def scrapes() -> None:
+            try:
+                for _ in range(30):
+                    engine.export_cache_metrics()
+            except BaseException as error:  # noqa: BLE001 -- the assertion
+                errors.append(error)
+
+        threads = ([threading.Thread(target=batches, args=(seed,))
+                    for seed in range(3)]
+                   + [threading.Thread(target=scrapes) for _ in range(2)])
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        engine.export_cache_metrics()
+        increases = memo.delta(before, memo.snapshot())
+        for group in ("placement_cache", "columnar_cache"):
+            for key, value in increases[group].items():
+                counter = engine.metrics.counter(f"repro_{group}_{key}_total")
+                assert counter.value() == value, (group, key)
+        stats = engine.cache.stats
+        for key, value in (("hits", stats.hits), ("misses", stats.misses),
+                           ("evictions", stats.evictions)):
+            assert engine.metrics.counter(
+                f"repro_cache_{key}_total").value() == value, key

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
+from repro.memo import LRU
 from repro.service import JobStore, ReproClient
-from repro.service.router import _DigestMemo
+from repro.service.router import _memo_digest
 
 from .conftest import (
     SAXPY,
@@ -16,6 +17,7 @@ from .conftest import (
     metrics_values,
     running_job_server,
     running_router,
+    running_server,
     saxpy_variant,
 )
 
@@ -29,17 +31,17 @@ def router_client(router):
 
 
 def test_digest_memo_is_a_bounded_lru():
-    memo = _DigestMemo(maxsize=3)
-    digests = [memo.digest(saxpy_variant(i)) for i in range(5)]
+    memo = LRU(3)
+    digests = [_memo_digest(memo, saxpy_variant(i)) for i in range(5)]
     assert len(set(digests)) == 5
     assert len(memo) == 3
     assert memo.evictions == 2
     # Hitting a resident entry refreshes it (LRU, not FIFO): variant 4
     # is resident, so inserting one more evicts variant 2, not 4.
-    assert memo.digest(saxpy_variant(4)) == digests[4]
-    memo.digest(saxpy_variant(9))
+    assert _memo_digest(memo, saxpy_variant(4)) == digests[4]
+    _memo_digest(memo, saxpy_variant(9))
     assert memo.evictions == 3
-    assert memo.digest(saxpy_variant(4)) == digests[4]
+    assert _memo_digest(memo, saxpy_variant(4)) == digests[4]
     assert memo.evictions == 3   # still resident -> no new eviction
 
 
@@ -55,6 +57,33 @@ def test_digest_memo_eviction_metrics_exported(tmp_path):
             assert values["repro_router_digest_memo_size"] == 3
             assert values["repro_router_digest_memo_entries"] <= 3
             assert values["repro_router_digest_memo_evictions_total"] >= 2
+
+
+def test_no_cumulative_count_is_exported_as_a_gauge():
+    """Every ``*_total`` series on the engine's and the router's
+    ``/metrics`` is a counter, after a mixed batch on a process pool."""
+    with running_server(workers=2) as backend:
+        url = f"http://127.0.0.1:{backend.port}"
+        with running_router([url]) as router:
+            with router_client(router) as client:
+                client.predict(SAXPY, bindings={"n": 100})
+                client.compare(SAXPY, saxpy_variant(1))
+                client.sweep(SAXPY, widths=[1, 2, 4], bindings={"n": 100})
+                client.kernels()
+                client.restructure(SAXPY, depth=1, max_nodes=4)
+            types = {}
+            for port in (backend.port, router.port):
+                _, text = http_get(port, "/metrics")
+                types[port] = dict(
+                    line.split()[2:4] for line in text.splitlines()
+                    if line.startswith("# TYPE "))
+                assert [name for name, kind in types[port].items()
+                        if kind == "gauge" and name.endswith("_total")] == []
+    assert types[backend.port]["repro_sweep_runs_total"] == "counter"
+    assert types[backend.port]["repro_placement_cache_hits_total"] \
+        == "counter"
+    assert types[router.port]["repro_router_digest_memo_evictions_total"] \
+        == "counter"
 
 
 # ----------------------------------------------------------------------

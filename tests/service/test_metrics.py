@@ -1,6 +1,9 @@
 """Prometheus text rendering of counters, gauges, and histograms."""
 
+import itertools
 import math
+import threading
+import time
 
 import pytest
 
@@ -8,6 +11,7 @@ from repro.service.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
+    StatsExport,
     parse_exposition,
     render_exposition,
 )
@@ -121,6 +125,34 @@ def test_histogram_count_sum_consistent_after_reset():
     assert 'lat_count{endpoint="predict"} 1' in lines
     assert 'lat_sum{endpoint="predict"} 0.5' in lines
     assert histogram.count(endpoint="predict") == 1
+
+
+def test_overlapping_syncs_count_each_increase_once():
+    """Concurrent syncs never read a later snapshot as a reset: the
+    exported counter ends at exactly the source's total increase."""
+    ticks = itertools.count()
+
+    def read():
+        value = next(ticks)
+        time.sleep(0.0001)  # let a later reader overtake this one
+        return {"g": {"n": value, "entries": 1}}
+
+    metrics = MetricsRegistry()
+    export = StatsExport(metrics, read)
+
+    def hammer():
+        for _ in range(200):
+            export.sync()
+
+    threads = [threading.Thread(target=hammer) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    export.export()
+    last = next(ticks) - 1      # the value export()'s own sync read
+    assert metrics.counter("repro_g_n_total").value() == last
+    assert metrics.gauge("repro_g_entries").value() == 1
 
 
 # ----------------------------------------------------------------------

@@ -179,3 +179,41 @@ def test_evaluate_dedups_identical_candidates(monkeypatch):
     assert len(costs) == 3
     assert str(costs[0]) == str(costs[1]) == str(costs[2])
 
+
+
+def test_shared_predictor_pool_survives_concurrent_callers():
+    """Four threads over more keys than the pool holds: every call
+    returns a predictor (an unlocked LRU raised ``KeyError`` from
+    ``move_to_end``, which the service reports as a client 400)."""
+    import random
+    import sys
+    import threading
+
+    from repro.transform.parallel import PREDICTOR_LIMIT, shared_predictor
+
+    program = parse_program(NEST)
+    machine = power_machine()
+    keys = [("race", index) for index in range(PREDICTOR_LIMIT + 16)]
+    errors: list[BaseException] = []
+
+    def hammer(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(20_000):
+                shared_predictor(rng.choice(keys), machine, program)
+        except BaseException as error:  # noqa: BLE001 -- the assertion
+            errors.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
